@@ -15,10 +15,13 @@ The last line of standard output is the result object::
 
 Environment control: the interpreter's hash seed is derived from
 ``--seed`` (the planner breaks join-order ties in set iteration order, so
-plans depend on it) and ``REPRO_ARTIFACT_DIR`` / ``REPRO_PARALLEL`` /
-``REPRO_SCALE`` are cleared; when the environment differs, the script
-re-executes itself in place with the controlled one.  The BLAS thread count
-and the cyclic GC stay as users get them and are recorded with the result.
+plans depend on it), ``REPRO_ARTIFACT_DIR`` / ``REPRO_PARALLEL`` /
+``REPRO_SCALE`` are cleared and BLAS runs one thread; when the environment
+differs, the script re-executes itself in place with the controlled one.
+The model's matrices are small: a second BLAS thread does not speed
+training up on two CPUs, but it spins on the second CPU, and when another
+process wants that CPU training slows down several times over.  The
+cyclic GC stays as users get it.  Both are recorded with the result.
 
 ``--featurize-delay-us N`` adds ``N`` microseconds per plan to every
 serving featurize call; ``selfcheck.py`` uses it to show that the
@@ -37,6 +40,8 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 CLEARED_ENV = ("REPRO_ARTIFACT_DIR", "REPRO_PARALLEL", "REPRO_SCALE")
+PINNED_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+              "MKL_NUM_THREADS": "1"}
 
 
 def hash_seed(seed):
@@ -48,6 +53,7 @@ def controlled_env(seed):
     env = {key: value for key, value in os.environ.items()
            if key not in CLEARED_ENV}
     env["PYTHONHASHSEED"] = str(hash_seed(seed))
+    env.update(PINNED_ENV)
     return env
 
 
@@ -117,7 +123,7 @@ def main(argv=None):
         return 2
     env = controlled_env(args.seed)
     if any(os.environ.get(key) != env.get(key)
-           for key in ("PYTHONHASHSEED",) + CLEARED_ENV):
+           for key in ("PYTHONHASHSEED", *CLEARED_ENV, *PINNED_ENV)):
         sys.stdout.flush()
         os.execve(sys.executable,
                   [sys.executable, str(Path(__file__).resolve()), *argv],

@@ -17,10 +17,11 @@ scaled up and timed:
   repeated: execute the training workloads, featurize and train, then
   learn the unseen databases' SPNs, annotate and predict.
 
-The serving workloads train their served model with two passes of the same
-pipeline, so every workload reports every end-to-end metric; the offline
-workload's request metrics time single-plan zero-shot predictions through
-the library API, as an optimizer embedding the model would call it.
+The serving workload runs timed passes of the same pipeline before it
+serves (the warm-up pass trains the served model), so every workload
+reports every end-to-end metric; the offline workload's request metrics
+time single-plan zero-shot predictions through the library API, as an
+optimizer embedding the model would call it.
 
 The seed chooses the queries, the request streams and the model's
 initialisation; the database contents are the paper's fixed benchmark, so
@@ -87,11 +88,13 @@ TRAIN_QUERIES = 120  # executed queries per training database
 EVAL_QUERIES = 80    # zero-shot predicted queries per unseen database
 EPOCHS = 10          # fixed: early stopping would make train_s noisy
 # The work of a run is fixed by --seconds, not by how fast it goes: one
-# repetition (pipeline pass, serving round) per this many seconds, at
-# least three.  Equal work gives equal allocation and GC patterns, so a
-# seed repeats its tail latencies.
-SECONDS_PER_REPEAT = 7.5
-SERVING_MODEL_PASSES = 2
+# timed repetition per this many seconds, at least four, after one
+# warm-up.  Equal work gives equal allocation and GC patterns, so a seed
+# repeats its tail latencies.  On a shared host the speed of identical
+# code drifts by tens of percent over seconds, so every figure is a median
+# over repetitions.
+SECONDS_PER_PASS = 6.0    # offline_zero_shot: pipeline pass + 1 round
+SECONDS_PER_ROUND = 8.0   # serve_unique: a pipeline pass and a round
 
 Record = namedtuple("Record", "db_name plan")
 
@@ -160,8 +163,9 @@ def _work_root():
 # ----------------------------------------------------------------------
 # Inputs
 # ----------------------------------------------------------------------
-def repeats(seconds):
-    return max(3, round(seconds / SECONDS_PER_REPEAT))
+def repeats(seconds, seconds_per_repeat):
+    """Timed repetitions of a run of ``seconds``: at least four."""
+    return max(4, round(seconds / seconds_per_repeat))
 
 
 def generate_inputs(seed):
@@ -247,47 +251,93 @@ def pipeline_pass(dbs, queries, unseen_traces, seed):
     }
 
 
-def run_pipeline(session, dbs, queries, unseen_traces, n_passes,
-                 after_pass=None):
-    """Run the pipeline ``n_passes`` times (stage times are medians); every
-    pass must predict bit-identically and inside the declared Q-error
-    band.  ``after_pass(result)`` runs after each pass."""
-    passes = []
-    counters0 = perfstats.snapshot()
-    probe0 = session.probe.snapshot()
-    while len(passes) < n_passes:
-        result = pipeline_pass(dbs, queries, unseen_traces, session.seed)
+class Pipeline:
+    """Repeated cold passes of the pipeline, run one at a time so a
+    workload can run its other phases between them.  The first pass is a
+    warm-up (the first pass in a process runs slower); stage times are
+    medians over the timed passes.  Every pass must predict bit-identically
+    and inside the declared Q-error band."""
+
+    def __init__(self, session, dbs, queries, unseen_traces):
+        self.session = session
+        self.dbs = dbs
+        self.queries = queries
+        self.unseen_traces = unseen_traces
+        self.warmup = None
+        self.passes = []
+        self.probe_totals = {}
+        self.counter_totals = {}
+
+    def run_pass(self):
+        """One pass; the first is the warm-up.  Returns its result."""
+        session = self.session
+        # Each pass starts from the same collector state: garbage of what
+        # ran before (the previous pass, a single-plan round) is not
+        # charged to it.  The collector's settings stay as users get them.
+        gc.collect()
+        probe0 = session.probe.snapshot()
+        counters0 = perfstats.snapshot()
+        result = pipeline_pass(self.dbs, self.queries, self.unseen_traces,
+                               session.seed)
         session.attempted += 1
-        same = (not passes or np.array_equal(result["predictions"],
-                                             passes[0]["predictions"]))
+        reference = self.warmup or result
+        same = np.array_equal(result["predictions"],
+                              reference["predictions"])
         if not same:
             session.failed += 1
         session.check(same, "pipeline passes disagree on predictions")
-        if passes:
-            # Only the last pass's model and estimators are used later.
-            passes[-1]["model"] = passes[-1]["estimators"] = None
-        passes.append(result)
-        if after_pass is not None:
-            after_pass(result)
-    first = passes[0]
-    for key in ("median", "p95"):
-        low, high = QERROR_BAND[key]
-        value = first[f"qerror_{key}"]
-        session.check(low <= value <= high,
-                      f"qerror_{key} {value:.3f} outside [{low}, {high}]")
-    session.check(first["qerror_beyond_p95"] >= 10,
-                  "evaluation set too small for a p95")
-    session.notes["pipeline"] = {
-        "passes": len(passes), "train_plans": first["n_train"],
-        "eval_plans": len(first["eval_records"]),
-        "qerror_beyond_p95": first["qerror_beyond_p95"]}
-    metrics = {key: _median([p[key] for p in passes])
-               for key in ("collect_s", "train_s", "zero_shot_s")}
-    metrics["qerror_median"] = first["qerror_median"]
-    metrics["qerror_p95"] = first["qerror_p95"]
-    if session.traced:
-        _pipeline_layers(session, passes, counters0, probe0)
-    return metrics, passes
+        if self.warmup is None:
+            self.warmup = result
+            self._check_band(result)
+            return result
+        _accumulate(self.probe_totals,
+                    _delta(session.probe.snapshot(), probe0))
+        counters = perfstats.snapshot()
+        for name, value in counters.items():
+            self.counter_totals[name] = (self.counter_totals.get(name, 0)
+                                         + value - counters0.get(name, 0))
+        # Only the latest pass's model and estimators are used later.
+        self.warmup["model"] = self.warmup["estimators"] = None
+        if self.passes:
+            self.passes[-1]["model"] = self.passes[-1]["estimators"] = None
+        self.passes.append(result)
+        return result
+
+    def _check_band(self, first):
+        check = self.session.check
+        for key in ("median", "p95"):
+            low, high = QERROR_BAND[key]
+            value = first[f"qerror_{key}"]
+            check(low <= value <= high,
+                  f"qerror_{key} {value:.3f} outside [{low}, {high}]")
+        check(first["qerror_beyond_p95"] >= 10,
+              "evaluation set too small for a p95")
+
+    def metrics(self):
+        """Stage medians over the timed passes and the Q-error."""
+        session, first = self.session, self.warmup
+        session.notes["pipeline"] = {
+            "warmup_passes": 1, "timed_passes": len(self.passes),
+            "train_plans": first["n_train"],
+            "eval_plans": len(first["eval_records"]),
+            "qerror_beyond_p95": first["qerror_beyond_p95"],
+            **{key: [round(p[key], 4) for p in self.passes]
+               for key in ("collect_s", "train_s", "zero_shot_s")}}
+        metrics = {key: _median([p[key] for p in self.passes])
+                   for key in ("collect_s", "train_s", "zero_shot_s")}
+        metrics["qerror_median"] = first["qerror_median"]
+        metrics["qerror_p95"] = first["qerror_p95"]
+        if session.traced:
+            _pipeline_layers(session, self.passes, self.counter_totals,
+                             self.probe_totals)
+        return metrics
+
+
+def _accumulate(totals, delta):
+    for layer, row in delta.items():
+        total = totals.setdefault(layer, [0, 0, 0.0, 0.0])
+        for i, value in enumerate(row):
+            total[i] += value
 
 
 def _ratio(hits, total):
@@ -299,13 +349,9 @@ def _delta(after, before):
             for layer, row in after.items()}
 
 
-def _pipeline_layers(session, passes, counters0, probe0):
-    probe_totals = _delta(session.probe.snapshot(), probe0)
-    counters = perfstats.snapshot()
-
-    def delta(name):
-        return counters.get(name, 0) - counters0.get(name, 0)
-
+def _pipeline_layers(session, passes, counters, probe_totals):
+    """Per-layer rows of the timed passes (their probe and counter deltas
+    only: the single-plan rounds in between are not counted)."""
     n = len(passes)
 
     def per_pass_s(layer):
@@ -315,16 +361,16 @@ def _pipeline_layers(session, passes, counters0, probe0):
     train = probe_totals.get("core.train", [0, 0, 0.0, 0.0])
     spn = probe_totals.get("cardest.spn_learn", [0, 0, 0.0, 0.0])
     annotate = probe_totals.get("cardest.annotate", [0, 0, 0.0, 0.0])
-    scans = delta("execute.scan_cache.hit")
-    joins = delta("execute.join_index.hit")
+    scans = counters.get("execute.scan_cache.hit", 0)
+    joins = counters.get("execute.join_index.hit", 0)
     session.layer.update({
         "executor.execute_trace_s": per_pass_s("executor.execute"),
         "executor.simulate_s": per_pass_s("executor.simulate"),
         "executor.scan_memo_hit_ratio": _ratio(
-            scans, scans + delta("execute.scan_cache.miss")),
+            scans, scans + counters.get("execute.scan_cache.miss", 0)),
         "executor.join_index_hit_ratio": _ratio(
-            joins, joins + delta("execute.join_index.build")
-            + delta("execute.join_index.fallback")),
+            joins, joins + counters.get("execute.join_index.build", 0)
+            + counters.get("execute.join_index.fallback", 0)),
         "executor.excluded_plans": float(passes[0]["excluded"]),
         "optimizer.plan_s": per_pass_s("optimizer.plan"),
         "core.train_step_ms": (train[2] / steps[0] * 1e3) if steps[0]
@@ -443,16 +489,6 @@ def _datagen_layer(session, generations):
         session.layer["datagen.generate_s"] = calls[2] / generations
 
 
-def build_model(session):
-    """Inputs plus the served model, trained by the offline pipeline."""
-    dbs, queries = generate_inputs(session.seed)
-    _datagen_layer(session, 1)
-    unseen = execute(dbs, queries, UNSEEN_DBS, session.seed)
-    metrics, passes = run_pipeline(session, dbs, queries, unseen,
-                                   SERVING_MODEL_PASSES)
-    return dbs, unseen, metrics, passes[-1]["model"]
-
-
 def _pool(dbs, unseen_traces, seed):
     """``SERVE_POOL_PER_DB + 1`` distinct executed plans per unseen
     database (the first one of each is kept back for warm-up)."""
@@ -481,10 +517,22 @@ def _served(dbs):
 
 
 def serve_unique(session):
-    dbs, unseen, metrics, model = build_model(session)
+    """Timed pipeline passes (the served model is the warm-up pass's),
+    then serving rounds over the unseen databases.  The pipeline's inputs
+    and passes are dropped before serving: the garbage collector of a
+    serving process does not walk a training corpus."""
+    dbs, queries = generate_inputs(session.seed)
+    _datagen_layer(session, 1)
+    unseen = execute(dbs, queries, UNSEEN_DBS, session.seed)
+    pipeline = Pipeline(session, dbs, queries, unseen)
+    model = pipeline.run_pass()["model"]
+    for _ in range(repeats(session.seconds, SECONDS_PER_ROUND)):
+        pipeline.run_pass()
+    metrics = pipeline.metrics()
+    del pipeline
     served = _served(dbs)
     pool = _pool(dbs, unseen, session.seed)
-    del dbs, unseen
+    del dbs, queries, unseen
     session.notes["inputs_digest"] = plans_digest(served, pool)
     warm = {("warm", name): (name, plans[0]) for name, plans in pool.items()}
     keyed = {(name, i): (name, plan) for name, plans in pool.items()
@@ -511,6 +559,7 @@ def serve_unique(session):
             session.check(value == expected[key], "wrong warm-up value")
         return server, time.perf_counter() - begin
 
+    gc.collect()  # the pipeline's garbage is not charged to serving
     _serving_rounds(session, metrics, stream, valid, start)
     if session.traced:
         _fleet_pass(session, registry, served, config, pool, warm, keyed,
@@ -595,11 +644,7 @@ class _TracedWindows:
         self._registry0 = REGISTRY.snapshot()
 
     def end(self, phase, tracer, gc_pauses):
-        for layer, row in _delta(self.probe.snapshot(),
-                                 self._local0).items():
-            total = self.local.setdefault(layer, [0, 0, 0.0, 0.0])
-            for i, value in enumerate(row):
-                total[i] += value
+        _accumulate(self.local, _delta(self.probe.snapshot(), self._local0))
         before = LayerProbe.worker_totals(self._registry0)
         for layer, row in LayerProbe.worker_totals(
                 REGISTRY.snapshot()).items():
@@ -715,7 +760,7 @@ def _serving_rounds(session, metrics, stream, valid, start):
     setups, throughputs, cpu_per_req, phases, stats_list = [], [], [], [], []
     windows = _TracedWindows(session.probe)
     warmup = int(SERVE_RATE * 0.5)
-    rounds = repeats(session.seconds)
+    rounds = repeats(session.seconds, SECONDS_PER_ROUND)
     for _ in range(rounds):
         for _ in range(SATURATION_PASSES):
             rps, setup_s = _saturation(session, start, stream, valid,
@@ -856,41 +901,48 @@ def offline_zero_shot(session):
 
     # Single-plan zero-shot predictions on the unseen databases, back to
     # back from one caller: the library path has no queue, so a request's
-    # latency is its service time.  Two rounds follow every pipeline pass,
-    # so they sample the whole run rather than its last seconds.  DeepDB
-    # estimates sample, so repeating a plan's annotation may change the
-    # last digits: the audit is a finite positive value per request and
-    # the Q-error band over all of them.
+    # latency is its service time.  One round follows every pipeline pass
+    # (the warm-up pass's round is a warm-up too), so the rounds sample
+    # the whole run.  DeepDB estimates sample, so repeating a plan's
+    # annotation may change the last digits: the audit is a finite
+    # positive value per request and the Q-error band over all of them.
     def valid(key, value):
         return math.isfinite(value) and value > 0
 
     rounds, values, actual, gc_pauses = [], [], [], []
     cpu = [0.0]
 
-    def single_plan_rounds(result):
+    def single_plan_round(result, timed):
         records = result["eval_records"]
         predictor = DirectPredictor(result["model"], dbs,
                                     result["estimators"])
         stream = [(r.db_name, r.plan, i) for i, r in enumerate(records)]
+        gc.collect()
         cpu0 = time.process_time()
         with GcMonitor() as gc_monitor:
-            for _ in range(2):
-                phase = offer_all(predictor, stream, valid, SUCCESS,
-                                  n_threads=1, name="single_plan")
-                _fold_phase(session, phase)
-                rounds.append(phase)
-                values.extend(h.value for h in phase.handles)
-                actual.extend(r.runtime_ms for r in records)
-        cpu[0] += time.process_time() - cpu0
+            phase = offer_all(predictor, stream, valid, SUCCESS,
+                              n_threads=1, name="single_plan")
+        cpu_s = time.process_time() - cpu0
+        _fold_phase(session, phase)
+        if not timed:
+            return
+        cpu[0] += cpu_s
         gc_pauses.extend(gc_monitor.pauses_ms)
+        rounds.append(phase)
+        values.extend(h.value for h in phase.handles)
+        actual.extend(r.runtime_ms for r in records)
 
-    metrics, passes = run_pipeline(session, dbs, queries, unseen,
-                                   repeats(session.seconds),
-                                   after_pass=single_plan_rounds)
+    pipeline = Pipeline(session, dbs, queries, unseen)
+    single_plan_round(pipeline.run_pass(), timed=False)
+    for _ in range(repeats(session.seconds, SECONDS_PER_PASS)):
+        single_plan_round(pipeline.run_pass(), timed=True)
+    metrics = pipeline.metrics()
+    passes = pipeline.passes
     if session.traced:
         session.budget_table = pipeline_budget(session, passes)
         # Tracing overhead: an untraced pass after the traced ones.
         session.probe.restore()
+        gc.collect()
         reference = pipeline_pass(dbs, queries, unseen, session.seed)
         session.install_probes()
         traced_s = _median([p["wall"][1] - p["wall"][0] for p in passes])
