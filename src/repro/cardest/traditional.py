@@ -4,16 +4,23 @@ Selectivity arithmetic over per-column histograms and MCV lists combined with
 the independence assumption — cheap, always available, and systematically
 wrong on correlated data, exactly as the paper describes ("simple statistics
 are known to be often imprecise").
+
+The planner asks for the same scan estimate many times while it orders
+joins (every candidate subset multiplies the scans of all its tables), so
+it plans through a :class:`ScanEstimateScope`: a view of the estimator for
+one planning call that computes each table's scan estimate under its
+filter once.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .. import perfstats
 from ..sql import BooleanPredicate, Comparison, PredOp
 from .base import CardinalityEstimator
 
-__all__ = ["TraditionalEstimator"]
+__all__ = ["TraditionalEstimator", "ScanEstimateScope"]
 
 # Postgres-ish default selectivities for unestimatable cases.
 _DEFAULT_EQ_SEL = 0.005
@@ -106,10 +113,15 @@ class TraditionalEstimator(CardinalityEstimator):
         column = db.column(node.table, node.column)
         if column.dictionary is None:
             return None
-        try:
-            return float(column.dictionary.index(value))
-        except ValueError:
+        index = column.dictionary_index
+        code = index.get(value)
+        if code is None:
             return None
+        if len(index) != len(column.dictionary):
+            # A repeated word maps to its last code in the index; the
+            # statistics use its first one.
+            code = column.dictionary.index(value)
+        return float(code)
 
     # ------------------------------------------------------------------
     # Predicate trees (independence assumption)
@@ -148,9 +160,61 @@ class TraditionalEstimator(CardinalityEstimator):
         return (1.0 - child.null_frac) / ndv
 
     def join_rows(self, db, tables, joins, filters):
+        return self._join_rows(db, tables, joins, filters, self.scan_rows)
+
+    def _join_rows(self, db, tables, joins, filters, scan_rows):
         rows = 1.0
         for table in tables:
-            rows *= self.scan_rows(db, table, filters.get(table))
+            rows *= scan_rows(db, table, filters.get(table))
         for join in joins:
             rows *= self.join_selectivity(db, join)
         return max(rows, 1.0)
+
+
+class ScanEstimateScope:
+    """One planning call's view of a :class:`TraditionalEstimator`.
+
+    ``scan_rows`` computes each (table, predicate object) estimate once
+    through the estimator and serves repeats from a memo; ``join_rows``
+    multiplies those memoized scans with the estimator's own join formula,
+    over ``tables`` in the caller's order, so every value equals what the
+    estimator returns directly.  The memo holds each predicate it keys by
+    ``id`` and lives only as long as the scope: create one per planning
+    call, never store it on an estimator.
+    """
+
+    __slots__ = ("estimator", "served", "_scans")
+
+    def __init__(self, estimator):
+        self.estimator = estimator
+        self.served = 0
+        self._scans = {}
+
+    @property
+    def computed(self):
+        """Distinct scan estimates computed through the estimator."""
+        return len(self._scans)
+
+    def scan_rows(self, db, table, predicate):
+        key = (table, id(predicate))
+        entry = self._scans.get(key)
+        if entry is None:
+            # The predicate rides along so its id cannot be reused.
+            entry = (self.estimator.scan_rows(db, table, predicate), predicate)
+            self._scans[key] = entry
+        else:
+            self.served += 1
+        return entry[0]
+
+    def join_rows(self, db, tables, joins, filters):
+        return self.estimator._join_rows(db, tables, joins, filters,
+                                         self.scan_rows)
+
+    def predicate_selectivity(self, db, predicate):
+        return self.estimator.predicate_selectivity(db, predicate)
+
+    def record_counters(self):
+        """Add this scope's served/computed totals to the perfstats
+        counters (once per planning call, not once per estimate)."""
+        perfstats.increment("plan.scan_scope.served", self.served)
+        perfstats.increment("plan.scan_scope.computed", self.computed)

@@ -13,9 +13,7 @@ cloud data warehouse:
 
 from __future__ import annotations
 
-
-
-from ..cardest.traditional import TraditionalEstimator
+from ..cardest.traditional import ScanEstimateScope, TraditionalEstimator
 from ..optimizer import PlanNode, annotate_costs
 from ..optimizer.planner import _greedy_join_order, _join_edges_inside
 from ..sql import Query
@@ -53,9 +51,13 @@ def _shuffle(node, kind, cluster):
 
 def plan_distributed_query(db, query: Query, cluster: ClusterConfig = None,
                            estimator=None) -> PlanNode:
-    """Plan a query for the simulated distributed cloud data warehouse."""
+    """Plan a query for the simulated distributed cloud data warehouse.
+
+    Like :func:`~repro.optimizer.planner.plan_query`, the call plans
+    through a :class:`ScanEstimateScope` over ``estimator``.
+    """
     cluster = cluster or DEFAULT_CLUSTER
-    estimator = estimator or TraditionalEstimator()
+    estimator = ScanEstimateScope(estimator or TraditionalEstimator())
 
     if len(query.tables) == 1:
         node = _columnar_scan(db, query, query.tables[0], estimator, cluster)
@@ -110,4 +112,5 @@ def plan_distributed_query(db, query: Query, cluster: ClusterConfig = None,
     root = PlanNode("Gather", children=[node], est_rows=node.est_rows,
                     width=node.width, workers=cluster.n_nodes)
     annotate_costs(db, root)
+    estimator.record_counters()
     return root

@@ -52,6 +52,7 @@ COUNTERS = [
     ("fleet.worker.restart", "worker processes restarted after exit/kill"),
     ("fleet.route.hit", "requests routed to their sticky shard"),
     ("fleet.route.rebalance", "routing decisions that moved a shard"),
+    ("fleet.swap.broadcast", "registry swaps broadcast to every worker"),
     ("fleet.queue.depth", "outstanding-request high-water increments"),
     ("fleet.hang.detected", "workers declared hung by missed heartbeats"),
     ("fleet.hang.killed", "hung workers killed for restart"),

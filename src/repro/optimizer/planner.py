@@ -10,6 +10,11 @@ All planning decisions use the *traditional* estimator (as Postgres does);
 better cardinalities from data-driven models are injected only into the
 features handed to the cost models, mirroring the paper's setup where plans
 come from Postgres regardless of the cardinality source.
+
+Each planning call plans through a :class:`ScanEstimateScope` over its
+estimator: join ordering asks for the scans of every candidate subset, and
+the scope computes each table's scan estimate under the query's filter
+once for the whole call.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..cardest.traditional import TraditionalEstimator
+from ..cardest.traditional import ScanEstimateScope, TraditionalEstimator
 from ..sql import Comparison, PredOp, Query, conjunction
 from .cost_model import CostParameters, annotate_costs
 from .plan import PlanNode
@@ -48,8 +53,9 @@ def _table_width(db, query, table):
     return sum(db.column_stats(table, col).width for col in needed)
 
 
-def _sargable_candidates(predicate):
-    """Top-level AND conjuncts usable for an index scan: (node, rest)."""
+def _sargable_candidates(db, table, predicate):
+    """Top-level AND conjuncts usable for an index scan on an existing
+    index of ``table``: (node, rest)."""
     if predicate is None:
         return []
     if isinstance(predicate, Comparison):
@@ -60,8 +66,10 @@ def _sargable_candidates(predicate):
         return []
     out = []
     for i, node in enumerate(conjuncts):
-        if isinstance(node, Comparison) and (node.op == PredOp.EQ or node.op.is_range
-                                             or node.op == PredOp.IN):
+        if (isinstance(node, Comparison)
+                and (node.op == PredOp.EQ or node.op.is_range
+                     or node.op == PredOp.IN)
+                and db.index_on(table, node.column) is not None):
             rest = conjuncts[:i] + conjuncts[i + 1:]
             out.append((node, conjunction(rest)))
     return out
@@ -76,9 +84,7 @@ def _build_scan(db, query, table, estimator, config):
 
     if config.enable_indexes:
         best = None
-        for node, rest in _sargable_candidates(predicate):
-            if db.index_on(table, node.column) is None:
-                continue
+        for node, rest in _sargable_candidates(db, table, predicate):
             sel = estimator.predicate_selectivity(db, node)
             if sel <= config.index_selectivity_threshold:
                 if best is None or sel < best[0]:
@@ -190,8 +196,12 @@ def _estimate_groups(db, query, input_rows):
 
 
 def plan_query(db, query: Query, estimator=None, config=None) -> PlanNode:
-    """Plan a logical query into an annotated physical plan."""
-    estimator = estimator or TraditionalEstimator()
+    """Plan a logical query into an annotated physical plan.
+
+    ``estimator`` is a :class:`TraditionalEstimator` (default: a fresh
+    one); the call plans through a :class:`ScanEstimateScope` over it.
+    """
+    estimator = ScanEstimateScope(estimator or TraditionalEstimator())
     config = config or PlannerConfig()
 
     if len(query.tables) == 1:
@@ -221,4 +231,5 @@ def plan_query(db, query: Query, estimator=None, config=None) -> PlanNode:
                         est_rows=node.est_rows, width=node.width)
 
     annotate_costs(db, node, config.cost_parameters)
+    estimator.record_counters()
     return node

@@ -86,7 +86,8 @@ forked workers.  Workers killed for hanging are restarted *without* the
 explicit schedule — the replacement is healthy.
 
 Observability: ``fleet.worker.spawn`` / ``fleet.worker.restart``,
-``fleet.route.hit`` / ``fleet.route.rebalance``, ``fleet.queue.depth``
+``fleet.route.hit`` / ``fleet.route.rebalance``, ``fleet.swap.broadcast``
+(registry swaps sent to every worker), ``fleet.queue.depth``
 (high-water mark of fleet-wide outstanding requests), the liveness plane's
 ``fleet.hang.detected`` / ``fleet.hang.killed``, the hedging plane's
 ``fleet.hedge.sent`` / ``fleet.hedge.won`` / ``fleet.hedge.wasted``,
@@ -870,7 +871,7 @@ class PredictorFleet:
                 return
             self._seen_generation = generation
             slots = list(self._slots)
-        perfstats.increment("fleet.route.rebalance")
+        perfstats.increment("fleet.swap.broadcast")
         for slot in slots:
             slot.send_control(("refresh",))
 

@@ -10,22 +10,29 @@ executable reference:
 * ``simulate_runtime_ms_batch`` ≡ per-plan ``simulate_runtime_ms``,
 * ``generate_trace`` ≡ ``generate_trace_reference`` (records, runtimes,
   timeout exclusions, index churn),
-* the vectorized ``equi_join`` gather ≡ the per-run loop spec.
+* the vectorized ``equi_join`` gather ≡ the per-run loop spec,
+* planning through the per-call ``ScanEstimateScope`` ≡ planning with the
+  estimator called directly (every plan annotation, local and distributed).
 
 Plus the observability contract of the new per-trace memos (bounded,
 counted, clearable) and the artifact-store SPN persistence.
 """
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
+import repro.distributed.planner as distributed_planner
+import repro.optimizer.planner as optimizer_planner
 from repro import perfstats
 from repro.bench.store import ArtifactStore
-from repro.cardest import DataDrivenEstimator
+from repro.cardest import DataDrivenEstimator, TraditionalEstimator
 from repro.cardest.spn import (_LeafSet, _Product, _Sum, learn_spn,
                                learn_spn_reference)
 from repro.datagen import (generate_database, make_benchmark_database,
                            random_database_spec)
+from repro.distributed import plan_distributed_query
 from repro.executor import (TraceExecutionContext, execute_plan, execute_trace,
                             simulate_runtime_ms, simulate_runtime_ms_batch)
 from repro.executor.executor import (_gather_parent_positions_reference,
@@ -39,13 +46,32 @@ from repro.workloads import (WorkloadConfig, WorkloadGenerator, generate_trace,
 PROFILES = ("airline", "imdb", "ssb")
 
 
+def _workload(db, n=40, seed=0, mode="standard", max_joins=3):
+    return WorkloadGenerator(db, WorkloadConfig(max_joins=max_joins,
+                                                mode=mode),
+                             seed=seed).generate(n)
+
+
 def _planned_corpus(db, n=40, seed=0, mode="standard", max_joins=3,
                     planner_kwargs=None):
-    queries = WorkloadGenerator(db, WorkloadConfig(max_joins=max_joins,
-                                                   mode=mode),
-                                seed=seed).generate(n)
+    queries = _workload(db, n=n, seed=seed, mode=mode, max_joins=max_joins)
     config = PlannerConfig(**(planner_kwargs or {}))
     return [plan_query(db, q, config=config) for q in queries]
+
+
+def _indexed_db():
+    """A snowflake database with every foreign key indexed."""
+    spec = random_database_spec("nl_exec", seed=3, layout="snowflake",
+                                base_rows=3000, n_tables=5, complexity=0.8)
+    db = generate_database(spec)
+    for fk in db.schema.foreign_keys:
+        db.create_index(fk.child_table, fk.child_column)
+    return db
+
+
+# Planner settings that reach index scans and indexed nested loops.
+_INDEX_FRIENDLY = dict(index_selectivity_threshold=0.5,
+                       nested_loop_outer_threshold=1e9, min_parallel_pages=1)
 
 
 def _capture(db, plans, runner):
@@ -79,17 +105,9 @@ class TestExecuteTraceEquivalence:
         assert fast == reference
 
     def test_matches_with_indexed_nested_loops(self):
-        spec = random_database_spec("nl_exec", seed=3, layout="snowflake",
-                                    base_rows=3000, n_tables=5,
-                                    complexity=0.8)
-        db = generate_database(spec)
-        for fk in db.schema.foreign_keys:
-            db.create_index(fk.child_table, fk.child_column)
-        plans = _planned_corpus(
-            db, n=40, seed=7, mode="complex", max_joins=4,
-            planner_kwargs=dict(index_selectivity_threshold=0.5,
-                                nested_loop_outer_threshold=1e9,
-                                min_parallel_pages=1))
+        db = _indexed_db()
+        plans = _planned_corpus(db, n=40, seed=7, mode="complex",
+                                max_joins=4, planner_kwargs=_INDEX_FRIENDLY)
         ops = {node.op_name for plan in plans for node in plan.iter_nodes()}
         assert "NestedLoopJoin" in ops and "IndexScan" in ops
         reference = _capture(db, plans,
@@ -134,6 +152,120 @@ class TestExecuteTraceEquivalence:
         assert not dup.unique_keys and not dup.dense_keys
         keys, rows = dense.sorted_valid()
         np.testing.assert_array_equal(keys, np.arange(100, dtype=float))
+
+
+class _Unscoped:
+    """Planning without a scope: every estimate goes straight to the
+    estimator (stands in for ``ScanEstimateScope`` in the reference run)."""
+
+    def __init__(self, estimator):
+        self._estimator = estimator
+
+    def __getattr__(self, name):
+        return getattr(self._estimator, name)
+
+    def record_counters(self):
+        pass
+
+
+class _CountingEstimator(TraditionalEstimator):
+    """Counts the scan estimates computed per (table, predicate object)."""
+
+    def __init__(self):
+        self.scans = Counter()
+
+    def scan_rows(self, db, table, predicate):
+        self.scans[(table, id(predicate))] += 1
+        return super().scan_rows(db, table, predicate)
+
+
+def _annotations(plan):
+    """Every PlanNode annotation, in tree order, floats as exact hex."""
+    return [(node.op_name, len(node.children), node.table, node.index_column,
+             node.filter_predicate, node.join, node.aggregates,
+             node.group_by, node.sort_keys, node.workers,
+             node.scanned_columns, node.storage_format,
+             float(node.est_rows).hex(), float(node.width).hex(),
+             float(node.est_cost).hex(), float(node.est_self_cost).hex())
+            for node in plan.iter_nodes()]
+
+
+def _plan_both_ways(monkeypatch, planner_module, plan_all):
+    """Annotations of ``plan_all()`` with the scope, then without it."""
+    scoped = [_annotations(p) for p in plan_all()]
+    with monkeypatch.context() as patch:
+        patch.setattr(planner_module, "ScanEstimateScope", _Unscoped)
+        direct = [_annotations(p) for p in plan_all()]
+    return scoped, direct
+
+
+# Workloads planned in the scope tests: (mode, max_joins, seed).
+_SCOPE_WORKLOADS = [("standard", 3, 0), ("complex", 4, 1)]
+
+
+class TestPlannerScanScope:
+    """The per-call scan scope changes how often the planner estimates,
+    never what it plans."""
+
+    @pytest.mark.parametrize("mode,max_joins,seed", _SCOPE_WORKLOADS)
+    def test_plans_bit_identical_to_unscoped(self, profile_db, monkeypatch,
+                                              mode, max_joins, seed):
+        queries = _workload(profile_db, n=40, seed=seed, mode=mode,
+                            max_joins=max_joins)
+        scoped, direct = _plan_both_ways(
+            monkeypatch, optimizer_planner,
+            lambda: [plan_query(profile_db, q) for q in queries])
+        assert scoped == direct
+        assert any(len(q.tables) > 2 for q in queries)
+
+    def test_indexed_plans_bit_identical_to_unscoped(self, monkeypatch):
+        db = _indexed_db()
+        queries = _workload(db, n=40, seed=7, mode="complex", max_joins=4)
+        config = PlannerConfig(**_INDEX_FRIENDLY)
+        scoped, direct = _plan_both_ways(
+            monkeypatch, optimizer_planner,
+            lambda: [plan_query(db, q, config=config) for q in queries])
+        assert scoped == direct
+        ops = {row[0] for plan in scoped for row in plan}
+        assert "NestedLoopJoin" in ops and "IndexScan" in ops
+
+    @pytest.mark.parametrize("mode,max_joins,seed", _SCOPE_WORKLOADS)
+    def test_distributed_plans_bit_identical_to_unscoped(
+            self, profile_db, monkeypatch, mode, max_joins, seed):
+        queries = _workload(profile_db, n=40, seed=seed, mode=mode,
+                            max_joins=max_joins)
+        scoped, direct = _plan_both_ways(
+            monkeypatch, distributed_planner,
+            lambda: [plan_distributed_query(profile_db, q) for q in queries])
+        assert scoped == direct
+
+    @pytest.mark.parametrize("planner", [plan_query, plan_distributed_query],
+                             ids=["local", "distributed"])
+    def test_one_scan_per_table_and_filter_per_call(self, profile_db,
+                                                    planner):
+        queries = _workload(profile_db, n=40, seed=1, mode="complex",
+                            max_joins=4)
+        estimator = _CountingEstimator()
+        for query in queries:
+            estimator.scans.clear()
+            planner(profile_db, query, estimator=estimator)
+            expected = {(t, id(query.filters.get(t))) for t in query.tables}
+            assert set(estimator.scans) == expected
+            assert set(estimator.scans.values()) == {1}
+        # The memo died with the call: the estimator gained no state.
+        assert list(vars(estimator)) == ["scans"]
+
+    def test_counters_computed_and_served(self, profile_db):
+        queries = [q for q in _workload(profile_db, n=40, seed=1,
+                                        mode="complex", max_joins=4)
+                   if len(q.tables) > 1]
+        perfstats.reset()
+        for query in queries:
+            plan_query(profile_db, query)
+        counters = perfstats.snapshot()
+        assert counters.get("plan.scan_scope.computed", 0) == sum(
+            len(q.tables) for q in queries)
+        assert counters.get("plan.scan_scope.served", 0) > 0
 
 
 class TestTraceMemoObservability:

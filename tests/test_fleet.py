@@ -18,6 +18,7 @@ import os
 import numpy as np
 import pytest
 
+from repro import perfstats
 from repro.bench.parallel import WorkerProcess
 from repro.core import TrainingConfig, ZeroShotCostModel, featurize_records
 from repro.core.model import ZeroShotModel
@@ -363,6 +364,23 @@ class TestFleetHotSwap:
         np.testing.assert_array_equal(got_back, world["expected_a"])
         assert not np.array_equal(got_v1, got_v2)
         assert stats["failed"] == 0
+
+    def test_swap_broadcast_is_not_a_rebalance(self, world, tmp_path):
+        """A promote with no traffic broadcasts one swap and moves no
+        shard: ``fleet.route.rebalance`` counts routing decisions only."""
+        registry = _registry_with(world, tmp_path)
+        with PredictorFleet(registry, world["dbs"], n_workers=1) as fleet:
+            registry.publish("main", world["model"],
+                             dbs=[world["db_a"], world["db_b"]],
+                             activate=False)
+            before = perfstats.snapshot()
+            registry.promote("main", 2)
+            fleet.refresh()
+            after = perfstats.snapshot()
+        assert (after.get("fleet.route.rebalance", 0)
+                == before.get("fleet.route.rebalance", 0))
+        assert (after.get("fleet.swap.broadcast", 0)
+                == before.get("fleet.swap.broadcast", 0) + 1)
 
 
 # ----------------------------------------------------------------------

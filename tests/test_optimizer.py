@@ -8,6 +8,7 @@ from repro.optimizer import (CostParameters, PlanNode, PlannerConfig,
                              annotate_costs, plan_query)
 from repro.sql import (AggregateSpec, Comparison, JoinEdge, PredOp, Query,
                        conjunction, evaluate_predicate)
+from repro.storage import Column, Database, DataType, Schema, Table
 
 
 @pytest.fixture(scope="module")
@@ -57,6 +58,23 @@ class TestTraditionalEstimator:
         pred = Comparison("customers", "category", PredOp.EQ, "unobtainium")
         sel = estimator.predicate_selectivity(toy_db, pred)
         assert 0.0 <= sel <= 0.02
+
+    def test_repeated_dictionary_word_uses_first_code(self, estimator):
+        """A word a dictionary repeats maps to its first code, as
+        ``list.index`` finds it, not to the index map's last one."""
+        words = Column("word", DataType.CATEGORICAL,
+                       np.array([0, 1, 2, 3, 2, 0], dtype=np.int64),
+                       dictionary=["a", "b", "a", "c"])
+        ids = Column("id", DataType.INT, np.arange(6, dtype=np.float64))
+        db = Database("dups", Schema(["t"], []), [Table("t", [ids, words])])
+        node = Comparison("t", "word", PredOp.EQ, "a")
+        assert estimator._value_to_number(db, node, "a") == 0.0
+        assert estimator._value_to_number(db, node, "b") == 1.0
+        assert estimator._value_to_number(db, node, "c") == 3.0
+        assert estimator._value_to_number(db, node, "zzz") is None
+        stats = db.column_stats("t", "word")
+        assert (estimator.predicate_selectivity(db, node)
+                == estimator._eq_selectivity(stats, 0.0))
 
     def test_fk_join_card(self, toy_db, estimator):
         rows = estimator.join_rows(

@@ -2,7 +2,8 @@
 
 Runs ``benchmarks/perf/harness.py`` on a tiny corpus and asserts — via the
 ``repro.perfstats`` dispatch counters and the cache hit counters — that the
-public API actually took the vectorized featurizer, the batched annotation,
+public API actually took the planner's per-call scan scope, the vectorized
+featurizer, the batched annotation,
 the fingerprint cache, the graph-free inference path, the flat-parameter
 Adam step, the flat early-stopping snapshot, the serving layer's
 micro-batcher, and (on a warm re-run) the disk artifact store.  A regression that silently falls back to a loop
@@ -41,6 +42,10 @@ class TestHarnessSmoke:
         assert counters.get("trace.generate.reference", 0) == 0
         assert counters.get("execute.trace.plans", 0) >= 8
         assert counters.get("simulate.batched", 0) >= 8
+        # Planning goes through the per-call scan scope, and join
+        # ordering re-reads scans it already estimated.
+        assert counters.get("plan.scan_scope.computed", 0) >= 8
+        assert counters.get("plan.scan_scope.served", 0) > 0
 
     def test_trace_execution_dispatches_engine(self, tiny_corpus):
         db, records = tiny_corpus
