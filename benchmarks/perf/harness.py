@@ -45,6 +45,7 @@ from repro.featurization import (FeatureScalers, FeaturizationCache,
                                  make_batch)
 from repro.nn import (Adam, Adam_reference, QErrorLoss, clip_grad_norm,
                       clip_grad_norm_reference)
+from repro.obs.metrics import REGISTRY
 
 __all__ = ["build_plan_corpus", "build_corpus", "build_exec_corpus",
            "exec_corpus_size", "bench_datagen", "bench_trace_execution",
@@ -694,7 +695,9 @@ def bench_fleet(db, records, hidden_dim=64, n_clients=4,
             extras[f"{n_workers}w"] = best_extras
     extras["fleet_counters"] = perfstats.snapshot(
         ["fleet.worker.spawn", "fleet.worker.restart",
-         "fleet.route.hit", "fleet.route.rebalance", "fleet.queue.depth"])
+         "fleet.route.hit", "fleet.route.rebalance"])
+    extras["fleet_queue_high_water"] = REGISTRY.snapshot()["gauges"].get(
+        "fleet.queue.depth", 0.0)
     return rates, extras
 
 
@@ -1387,6 +1390,5 @@ def run_all(n_queries=192, hidden_dim=64, seed=0, profile=False):
              "serve.cache.hit", "serve.cache.miss",
              "serve.shed.count", "serve.swap.count",
              "fleet.worker.spawn", "fleet.worker.restart",
-             "fleet.route.hit", "fleet.route.rebalance",
-             "fleet.queue.depth"]),
+             "fleet.route.hit", "fleet.route.rebalance"]),
     }

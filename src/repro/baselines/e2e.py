@@ -48,9 +48,12 @@ class E2EFeaturizer:
         if isinstance(value, (list, tuple)):
             return 0.5
         if isinstance(value, str):
-            if column.dictionary is None or value not in column.dictionary:
+            if column.dictionary is None:
                 return 0.5
-            return column.dictionary.index(value) / max(len(column.dictionary), 1)
+            code = column.dictionary_index.get(value)
+            if code is None:
+                return 0.5
+            return code / max(len(column.dictionary), 1)
         if value is None or not np.isfinite(stats.min_value):
             return 0.5
         span = stats.max_value - stats.min_value

@@ -92,9 +92,12 @@ class MSCNFeaturizer:
         if isinstance(value, (list, tuple)) or value is None:
             return 0.5
         if isinstance(value, str):
-            if column.dictionary is None or value not in column.dictionary:
+            if column.dictionary is None:
                 return 0.5
-            return column.dictionary.index(value) / max(len(column.dictionary), 1)
+            code = column.dictionary_index.get(value)
+            if code is None:
+                return 0.5
+            return code / max(len(column.dictionary), 1)
         span = stats.max_value - stats.min_value
         if not np.isfinite(span) or span <= 0:
             return 0.5

@@ -113,15 +113,8 @@ class TraditionalEstimator(CardinalityEstimator):
         column = db.column(node.table, node.column)
         if column.dictionary is None:
             return None
-        index = column.dictionary_index
-        code = index.get(value)
-        if code is None:
-            return None
-        if len(index) != len(column.dictionary):
-            # A repeated word maps to its last code in the index; the
-            # statistics use its first one.
-            code = column.dictionary.index(value)
-        return float(code)
+        code = column.dictionary_index.get(value)
+        return None if code is None else float(code)
 
     # ------------------------------------------------------------------
     # Predicate trees (independence assumption)

@@ -53,7 +53,6 @@ COUNTERS = [
     ("fleet.route.hit", "requests routed to their sticky shard"),
     ("fleet.route.rebalance", "routing decisions that moved a shard"),
     ("fleet.swap.broadcast", "registry swaps broadcast to every worker"),
-    ("fleet.queue.depth", "outstanding-request high-water increments"),
     ("fleet.hang.detected", "workers declared hung by missed heartbeats"),
     ("fleet.hang.killed", "hung workers killed for restart"),
     ("fleet.hedge.sent", "hedged duplicate requests sent"),
@@ -92,7 +91,9 @@ HISTOGRAMS = [
 ]
 
 #: (name, description) for gauges (last-write-wins).
-GAUGES = []
+GAUGES = [
+    ("fleet.queue.depth", "fleet-wide outstanding-request high-water mark"),
+]
 
 _PLACEHOLDER = re.compile(r"<[a-z_]+>")
 
@@ -139,6 +140,11 @@ def markdown_table():
     lines.append("| histogram (log-bucket, exactly mergeable) | meaning |")
     lines.append("| --- | --- |")
     for name, desc in HISTOGRAMS:
+        lines.append(f"| `{name}` | {desc} |")
+    lines.append("")
+    lines.append("| gauge (last write wins) | meaning |")
+    lines.append("| --- | --- |")
+    for name, desc in GAUGES:
         lines.append(f"| `{name}` | {desc} |")
     return "\n".join(lines)
 

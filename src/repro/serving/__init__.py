@@ -30,7 +30,11 @@ engine into that online service:
   (:class:`~repro.serving.core.ServingCore`, ``core.py`` — the
   transport-agnostic half of the server) over checkpoints hydrated via
   the registry's mmap path: one page-cache copy of every model for the
-  whole fleet.  Handles keep the exact server semantics; worker death is
+  whole fleet.  Both transports enter requests through one ingress
+  (:class:`~repro.serving.core.RequestFrontend`) that hashes each plan
+  once; the digest rides on the request, keys the result and
+  featurization caches, and is the fleet's pipe token, so workers never
+  re-hash.  Handles keep the exact server semantics; worker death is
   supervised (fork-restart + exactly-once re-send of unanswered
   requests); promote/rollback broadcasts on ``registry.generation``
   changes, zero downtime fleet-wide.

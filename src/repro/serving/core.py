@@ -20,12 +20,19 @@ request mix, a ``DONE`` value is bit-identical to a direct
 ``predict_runtimes`` call on the same model, and every departure from the
 model path (degraded, failed, deadline-expired) is typed and flagged.
 
-Thread-safety: one internal lock guards the result cache, the digest memo,
-the routes and the counters.  Featurization and inference run outside it.
-The featurization/batch caches, the breakers and the analytical fallbacks
-are touched only by the processing thread (the batcher thread in the
-server; the worker main loop in the fleet), so they need no locking of
-their own.
+Both transports also share one ingress, :class:`RequestFrontend`: it checks
+the database name, builds the :class:`PredictionRequest`, computes the
+16-byte plan digest once (memoized per plan object — the service's only
+``id(plan)`` memo) and opens the trace context.  From then on the digest
+is a field of the request: the result cache, the fault keys, the
+observation tap, the fleet's plan table and the featurization cache all
+read ``request.digest`` and never re-hash the plan.
+
+Thread-safety: one internal lock guards the result cache, the routes and
+the counters.  Featurization and inference run outside it.  The
+featurization/batch caches, the breakers and the analytical fallbacks are
+touched only by the processing thread (the batcher thread in the server;
+the worker main loop in the fleet), so they need no locking of their own.
 """
 
 from __future__ import annotations
@@ -36,8 +43,11 @@ from collections import Counter, OrderedDict, deque, namedtuple
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 from .. import perfstats
 from ..obs.metrics import REGISTRY
+from ..obs.trace import Tracer
 from ..core.api import EstimatorCache, featurize_records
 from ..core.training import predict_runtimes
 from ..featurization import (BatchCache, FeaturizationCache, database_digest,
@@ -46,9 +56,9 @@ from ..optimizer.cost_model import AnalyticalCostModel
 from ..robustness import faults
 from .registry import RoutingError
 
-__all__ = ["ServingCore", "ServerConfig", "PredictionRequest",
-           "RequestStatus", "RequestPriority", "admission_limit",
-           "RequestShedError", "DeadlineExceededError",
+__all__ = ["ServingCore", "RequestFrontend", "ServerConfig",
+           "PredictionRequest", "RequestStatus", "RequestPriority",
+           "admission_limit", "RequestShedError", "DeadlineExceededError",
            "DegradedResponseError", "ServerClosedError", "ServingRecord",
            "Observation", "ObservationTap"]
 
@@ -192,14 +202,17 @@ class PredictionRequest:
     crossed a worker pipe.
     """
 
-    __slots__ = ("db_name", "plan", "status", "value", "error", "served_by",
-                 "submitted_at", "completed_at", "retries", "priority",
-                 "deadline_ms", "trace", "_event")
+    __slots__ = ("db_name", "plan", "digest", "status", "value", "error",
+                 "served_by", "submitted_at", "completed_at", "retries",
+                 "priority", "deadline_ms", "trace", "_event")
 
     def __init__(self, db_name, plan, priority=RequestPriority.NORMAL,
-                 deadline_ms=None):
+                 deadline_ms=None, digest=None):
         self.db_name = db_name
         self.plan = plan
+        # 16-byte plan content digest, computed once at ingress; keys the
+        # result cache, the fleet's plan table and the featurization cache.
+        self.digest = digest
         self.priority = RequestPriority(priority)
         self.deadline_ms = deadline_ms  # per-request age cap (ms), or None
         self.status = RequestStatus.PENDING
@@ -367,15 +380,12 @@ class ServingCore:
         self._dbs = dict(dbs)
         self._db_digests = {name: database_digest(db).hex()
                             for name, db in self._dbs.items()}
-        self._db_fingerprints = {name: db.fingerprint()
-                                 for name, db in self._dbs.items()}
-        # One lock guards the result cache, the digest memo, the routes
-        # and the counters.  Featurization and inference run outside it;
-        # the featurization/batch caches, the breakers and the analytical
-        # fallbacks are touched only by the processing thread.
+        # One lock guards the result cache, the routes and the counters.
+        # Featurization and inference run outside it; the featurization/
+        # batch caches, the breakers and the analytical fallbacks are
+        # touched only by the processing thread.
         self._lock = threading.Lock()
         self._result_cache = OrderedDict()
-        self._digest_memo = OrderedDict()  # (id(plan), db) -> (plan, digest)
         self._feat_cache = FeaturizationCache()
         self._batch_cache = BatchCache(max_entries=64)
         self._estimator_cache = estimator_cache or EstimatorCache()
@@ -396,20 +406,9 @@ class ServingCore:
     def dbs(self):
         return self._dbs
 
-    def has_db(self, db_name):
-        return db_name in self._dbs
-
-    def db_digest(self, db_name):
-        """Hex database fingerprint digest (the sharding/routing key)."""
-        return self._db_digests[db_name]
-
     def count(self, name, n=1):
         with self._lock:
             self._counts[name] += n
-
-    def counts_snapshot(self):
-        with self._lock:
-            return Counter(self._counts)
 
     # ------------------------------------------------------------------
     # Observation tap (continuous learning)
@@ -425,13 +424,15 @@ class ServingCore:
     def observer(self):
         return self._observer
 
-    def _observe(self, db_name, plan, digest, value, route, trace_id=None):
+    def _observe(self, request, value, route):
         """Feed one model-path delivery to the attached tap (if any)."""
         observer = self._observer
         if observer is None:
             return
-        observer.record(Observation(db_name, plan, digest, float(value),
-                                    route.served_by, trace_id))
+        trace = request.trace
+        observer.record(Observation(
+            request.db_name, request.plan, request.digest, float(value),
+            route.served_by, trace.trace_id if trace is not None else None))
 
     # ------------------------------------------------------------------
     # Routing / hot-swap
@@ -499,48 +500,32 @@ class ServingCore:
     # ------------------------------------------------------------------
     # Caches
     # ------------------------------------------------------------------
-    def plan_digest(self, db_name, plan):
-        """Memoized content fingerprint of a plan object (self-locking).
+    def answer_cached(self, route, request, stage_proc=None):
+        """Complete ``request`` from the result cache if it holds
+        ``(route checkpoint, request.digest)``; True when answered.
 
-        Memo keys carry the database name: the digest hashes the
-        database's fingerprint, so the same plan object submitted against
-        two databases must produce two distinct digests (and therefore two
-        result-cache keys).  The hash itself — an O(plan) tree walk — runs
-        outside the lock so first-seen plans from concurrent clients don't
-        serialize behind each other; only the memo probes take it.
-        """
-        memo_key = (id(plan), db_name)
-        with self._lock:
-            entry = self._digest_memo.get(memo_key)
-            if entry is not None and entry[0] is plan:
-                return entry[1]
-        digest = plan_fingerprint(
-            self._dbs[db_name], plan, self.config.cards,
-            db_fingerprint=self._db_fingerprints[db_name])
-        with self._lock:
-            self._digest_memo[memo_key] = (plan, digest)
-            while len(self._digest_memo) > 4 * max(
-                    self.config.result_cache_size, 1024):
-                self._digest_memo.popitem(last=False)
-        return digest
-
-    def cached_value(self, route, digest, db_name=None, plan=None,
-                     trace_id=None):
-        """Result-cache probe; counts the hit and returns the value, or
-        ``None`` on a miss (the miss is counted at prediction time).
-
-        When ``db_name``/``plan`` are given, a hit is also fed to the
-        observation tap — submit-time cache answers are deliveries too.
+        A hit is counted, annotated and fed to the observation tap; a miss
+        is counted at prediction time.  ``stage_proc`` also records the
+        ``cache`` stage (submit to answer) on a traced request.
         """
         with self._lock:
-            value = self._cache_get_locked((route.checkpoint_key, digest))
+            value = self._cache_get_locked(
+                (route.checkpoint_key, request.digest))
             if value is not None:
                 self._counts["cached"] += 1
-        if value is not None:
-            perfstats.increment("serve.cache.hit")
-            if plan is not None:
-                self._observe(db_name, plan, digest, value, route, trace_id)
-        return value
+        if value is None:
+            return False
+        perfstats.increment("serve.cache.hit")
+        trace = request.trace
+        if trace is not None:
+            trace.annotate("cache.hit")
+            if stage_proc is not None:
+                trace.add_stage("cache", request.submitted_at,
+                                time.perf_counter(), stage_proc)
+        request._finish(RequestStatus.CACHED, value=value,
+                        served_by=route.served_by)
+        self._observe(request, value, route)
+        return True
 
     def _cache_get_locked(self, key):
         if self.config.result_cache_size <= 0:
@@ -566,7 +551,12 @@ class ServingCore:
         Groups by database, routes each group, enforces deadlines, retries
         with backoff, bisects poisoned groups, degrades behind the circuit
         breaker — and completes every request in ``batch`` exactly once.
+        Each request must carry its plan digest, which keys the result and
+        featurization caches; a batch with a request lacking one is refused.
         """
+        if any(request.digest is None for request in batch):
+            raise ValueError("a request reached the serving core without "
+                             "its plan digest")
         self.maybe_swap()
         perfstats.increment("serve.batch.count")
         perfstats.increment("serve.batch.requests", len(batch))
@@ -597,46 +587,25 @@ class ServingCore:
             for request in requests:
                 request._finish(RequestStatus.FAILED, error=error)
             return
-        digests = [self.plan_digest(db_name, request.plan)
-                   for request in requests]
         # Late cache probe: a duplicate that was queued before its twin's
         # batch completed is answered here instead of re-predicted.
-        pending, keys, hits = [], [], []
-        with self._lock:
-            for request, digest in zip(requests, digests):
-                key = (route.checkpoint_key, digest)
-                value = self._cache_get_locked(key)
-                if value is not None:
-                    self._counts["cached"] += 1
-                    perfstats.increment("serve.cache.hit")
-                    if request.trace is not None:
-                        request.trace.annotate("cache.hit")
-                    request._finish(RequestStatus.CACHED, value=value,
-                                    served_by=route.served_by)
-                    hits.append((request, digest, value))
-                else:
-                    pending.append(request)
-                    keys.append(key)
-        for request, digest, value in hits:  # observe outside the lock
-            self._observe(db_name, request.plan, digest, value, route,
-                          trace_id=(request.trace.trace_id
-                                    if request.trace is not None else None))
+        pending = [request for request in requests
+                   if not self.answer_cached(route, request)]
         if not pending:
             return
         perfstats.increment("serve.cache.miss", len(pending))
-        digests = [key[1] for key in keys]
         breaker = self._breakers.setdefault(route.checkpoint_key, _Breaker())
         if not breaker.allows_model_path(self.config.breaker_reset_ms / 1e3):
             # Breaker open: the model path is known-bad; answer from the
             # analytical baseline (or fail typed) without touching it.
             self._finish_degraded(db_name, route, pending)
             return
-        self._predict_group(db_name, route, breaker, pending, digests)
+        self._predict_group(db_name, route, breaker, pending)
 
-    def _predict_group(self, db_name, route, breaker, requests, digests):
+    def _predict_group(self, db_name, route, breaker, requests):
         """Retry with backoff; on persistent failure bisect until the
         poisoned request is isolated; enforce per-request deadlines."""
-        requests, digests = self._enforce_deadlines(requests, digests)
+        requests = self._enforce_deadlines(requests)
         if not requests:
             return
         last_error = None
@@ -658,31 +627,26 @@ class ServingCore:
                     if request.trace is not None:
                         request.trace.add_stage("backoff", backoff_start,
                                                 backoff_end, self.proc_label)
-                requests, digests = self._enforce_deadlines(requests,
-                                                            digests)
+                requests = self._enforce_deadlines(requests)
                 if not requests:
                     return
             try:
-                values = self._attempt(db_name, requests, digests,
-                                       route.model)
+                values = self._attempt(db_name, requests, route.model)
             except Exception as exc:  # noqa: BLE001 — injected or real
                 perfstats.increment("serve.fault.model_path")
                 last_error = exc
                 continue
             breaker.record_success()
+            values = [float(value) for value in values]
             with self._lock:
                 self._counts["completed"] += len(requests)
-                for digest, value in zip(digests, values):
-                    self._cache_put_locked((route.checkpoint_key, digest),
-                                           float(value))
-            for request, digest, value in zip(requests, digests, values):
-                request._finish(RequestStatus.DONE, value=float(value),
+                for request, value in zip(requests, values):
+                    self._cache_put_locked(
+                        (route.checkpoint_key, request.digest), value)
+            for request, value in zip(requests, values):
+                request._finish(RequestStatus.DONE, value=value,
                                 served_by=route.served_by)
-                self._observe(db_name, request.plan, digest, float(value),
-                              route,
-                              trace_id=(request.trace.trace_id
-                                        if request.trace is not None
-                                        else None))
+                self._observe(request, value, route)
             return
         if len(requests) > 1:
             # Poisoned-batch bisection: the halves retry independently, so
@@ -694,10 +658,8 @@ class ServingCore:
                 if request.trace is not None:
                     request.trace.annotate("bisect")
             mid = len(requests) // 2
-            self._predict_group(db_name, route, breaker,
-                                requests[:mid], digests[:mid])
-            self._predict_group(db_name, route, breaker,
-                                requests[mid:], digests[mid:])
+            self._predict_group(db_name, route, breaker, requests[:mid])
+            self._predict_group(db_name, route, breaker, requests[mid:])
             return
         # A single request exhausted its retries: it fails alone — and the
         # breaker counts it; past the threshold the deployment degrades.
@@ -709,17 +671,19 @@ class ServingCore:
             self._counts["failed"] += 1
         requests[0]._finish(RequestStatus.FAILED, error=last_error)
 
-    def _attempt(self, db_name, requests, digests, model):
+    def _attempt(self, db_name, requests, model):
         """One model-path attempt over a group (featurize + predict).
 
-        Traced requests record the group's featurize and infer intervals:
-        a batched request waits through the whole group operation, so the
-        group interval *is* that request's stage time.  Timing is taken
-        only when the group holds at least one traced request, so untraced
-        traffic pays nothing.
+        The request digests are the featurization-cache keys, so the plans
+        are not hashed again here.  Traced requests record the group's
+        featurize and infer intervals: a batched request waits through the
+        whole group operation, so the group interval *is* that request's
+        stage time.  Timing is taken only when the group holds at least
+        one traced request, so untraced traffic pays nothing.
         """
         traced = [request for request in requests
                   if request.trace is not None]
+        digests = [request.digest for request in requests]
         faults.check("serve.featurize", keys=digests)
         records = [ServingRecord(db_name, request.plan)
                    for request in requests]
@@ -728,7 +692,7 @@ class ServingCore:
         graphs = featurize_records(
             records, self._dbs, cards=self.config.cards,
             estimator_cache=self._estimator_cache,
-            feat_cache=self._feat_cache)
+            feat_cache=self._feat_cache, keys=digests)
         if traced:
             feat_end = time.perf_counter()
             for request in traced:
@@ -747,8 +711,8 @@ class ServingCore:
                                         self.proc_label)
         return values
 
-    def _enforce_deadlines(self, requests, digests):
-        """Fail requests whose age exceeds their deadline.
+    def _enforce_deadlines(self, requests):
+        """Fail requests whose age exceeds their deadline; return the rest.
 
         A request's own ``deadline_ms`` (which crosses the fleet pipe with
         it) takes precedence over the config-wide ``request_timeout_ms``;
@@ -758,10 +722,10 @@ class ServingCore:
         config_ms = self.config.request_timeout_ms
         if config_ms is None and not any(
                 request.deadline_ms is not None for request in requests):
-            return requests, digests
+            return requests
         now = time.perf_counter()
-        alive, alive_digests, expired = [], [], []
-        for request, digest in zip(requests, digests):
+        alive, expired = [], []
+        for request in requests:
             timeout_ms = (request.deadline_ms
                           if request.deadline_ms is not None else config_ms)
             if (timeout_ms is not None
@@ -769,7 +733,6 @@ class ServingCore:
                 expired.append((request, timeout_ms))
             else:
                 alive.append(request)
-                alive_digests.append(digest)
         if expired:
             perfstats.increment("serve.fault.deadline", len(expired))
             with self._lock:
@@ -782,7 +745,7 @@ class ServingCore:
                                 error=DeadlineExceededError(
                                     f"request exceeded its "
                                     f"{timeout_ms:.0f} ms deadline"))
-        return alive, alive_digests
+        return alive
 
     def _finish_degraded(self, db_name, route, requests):
         """Answer requests from the analytical cost model, flagged DEGRADED.
@@ -852,3 +815,165 @@ class ServingCore:
                 "result_cache_entries": len(self._result_cache),
                 "breakers": breakers,
             }
+
+
+class RequestFrontend:
+    """The ingress and client API both transports share.
+
+    :class:`~repro.serving.server.PredictorServer` and
+    :class:`~repro.serving.fleet.PredictorFleet` subclass this, and a
+    request enters the service only through :meth:`_ingress`, which checks
+    the database, builds the handle, computes its plan digest and opens
+    its trace context.  The admission policy (shed or brownout), queueing
+    and delivery stay with the transport: a subclass provides ``submit``,
+    ``start``, ``stop``, the ``_accepting`` flag and the ``_not_full``
+    condition that :meth:`_has_room` waits on.
+    """
+
+    def __init__(self, dbs, config):
+        self.config = config
+        self._dbs = dict(dbs)
+        self._db_fingerprints = {name: db.fingerprint()
+                                 for name, db in self._dbs.items()}
+        # Guards the digest memo and the submit sequence number.
+        self._ingress_lock = threading.Lock()
+        self._digest_memo = OrderedDict()  # (id(plan), db) -> (plan, digest)
+        self._submit_seq = 0  # submit order; feeds deterministic trace ids
+        self._tracer = (Tracer(sample_every=config.trace_sample_every)
+                        if config.trace else None)
+
+    # ------------------------------------------------------------------
+    # Ingress
+    # ------------------------------------------------------------------
+    def _ingress(self, plan, db_name, priority, deadline_ms):
+        """Build the handle for one submitted plan, digest and trace set."""
+        if db_name not in self._dbs:
+            raise KeyError(f"database {db_name!r} is not registered with "
+                           f"this {type(self).__name__}")
+        priority = RequestPriority(priority)
+        request = PredictionRequest(db_name, plan, priority=priority,
+                                    deadline_ms=deadline_ms)
+        request.digest = self._plan_digest(db_name, plan)
+        tracer = self._tracer
+        if tracer is not None and tracer.enabled:
+            with self._ingress_lock:
+                seq = self._submit_seq
+                self._submit_seq += 1
+            request.trace = tracer.context_for(
+                request.digest, seq, db_name=db_name,
+                priority=priority.name.lower(),
+                submitted_at=request.submitted_at)
+        return request
+
+    def _plan_digest(self, db_name, plan):
+        """Memoized content fingerprint of a plan object (self-locking).
+
+        Memo keys carry the database name: the digest hashes the
+        database's fingerprint, so the same plan object submitted against
+        two databases yields two digests.  The hash — an O(plan) tree walk
+        — runs outside the lock, so first-seen plans from concurrent
+        clients do not serialize behind each other.  The digest equals
+        :meth:`~repro.featurization.FeaturizationCache.key` for the same
+        plan, card source and database, so it doubles as the
+        featurization-cache key.
+        """
+        memo_key = (id(plan), db_name)
+        with self._ingress_lock:
+            entry = self._digest_memo.get(memo_key)
+            if entry is not None and entry[0] is plan:
+                return entry[1]
+        digest = plan_fingerprint(
+            self._dbs[db_name], plan, self.config.cards,
+            db_fingerprint=self._db_fingerprints[db_name])
+        with self._ingress_lock:
+            self._digest_memo[memo_key] = (plan, digest)
+            while len(self._digest_memo) > 4 * max(
+                    self.config.result_cache_size, 1024):
+                self._digest_memo.popitem(last=False)
+        return digest
+
+    # ------------------------------------------------------------------
+    # Admission (transport lock held)
+    # ------------------------------------------------------------------
+    def _has_room(self, request, occupancy, block, timeout):
+        """Wait for room under the request's priority bound; True when the
+        request may be admitted.
+
+        Called with the transport lock held; ``occupancy()`` is the
+        transport's current load.  With ``block`` the wait on
+        ``_not_full`` lasts at most ``timeout`` in total.
+        """
+        config = self.config
+        limit = min(config.queue_depth, admission_limit(
+            request.priority, config.queue_depth, config))
+        deadline = None if timeout is None else time.monotonic() + timeout
+        while self._accepting and occupancy() >= limit:
+            remaining = (None if deadline is None
+                         else deadline - time.monotonic())
+            if (not block
+                    or (remaining is not None and remaining <= 0)
+                    or not self._not_full.wait(remaining)):
+                break
+        return self._accepting and occupancy() < limit
+
+    @staticmethod
+    def _shed(request):
+        """Finish a request refused admission as SHED, counted per class."""
+        perfstats.increment("serve.shed.count")
+        perfstats.increment(
+            f"serve.shed.priority.{request.priority.name.lower()}")
+        request._finish(RequestStatus.SHED)
+
+    # ------------------------------------------------------------------
+    # Client API
+    # ------------------------------------------------------------------
+    def submit_many(self, plans, db_name, block=False, timeout=None,
+                    priority=RequestPriority.NORMAL, deadline_ms=None):
+        return [self.submit(plan, db_name, block=block, timeout=timeout,
+                            priority=priority, deadline_ms=deadline_ms)
+                for plan in plans]
+
+    def predict(self, plans, db_name, timeout=None, allow_degraded=False,
+                priority=RequestPriority.NORMAL):
+        """Blocking bulk prediction (backpressure, never sheds).
+
+        Returns runtimes (ms) aligned with ``plans``; raises if any request
+        failed.  A ``DEGRADED`` response (analytical fallback) raises
+        :class:`DegradedResponseError` unless ``allow_degraded=True`` —
+        degraded values are never handed out silently.
+        """
+        requests = self.submit_many(plans, db_name, block=True,
+                                    timeout=timeout, priority=priority)
+        values = [request.result(timeout) for request in requests]
+        if not allow_degraded:
+            degraded = sum(request.degraded for request in requests)
+            if degraded:
+                raise DegradedResponseError(
+                    f"{degraded}/{len(requests)} predictions came from the "
+                    "analytical fallback; pass allow_degraded=True to "
+                    "accept flagged degraded values")
+        return np.array(values)
+
+    # ------------------------------------------------------------------
+    # Observability / lifecycle
+    # ------------------------------------------------------------------
+    @property
+    def tracer(self):
+        return self._tracer
+
+    def attach_tracer(self, tracer):
+        """Attach (or detach with ``None``) a span sink; overrides the
+        config-driven tracer.  Per-request cost is zero when detached."""
+        self._tracer = tracer
+        return tracer
+
+    def close(self, drain=True):
+        """Alias for ``stop``."""
+        self.stop(drain=drain)
+
+    def __enter__(self):
+        return self.start()
+
+    def __exit__(self, exc_type, exc, tb):
+        self.stop()
+        return False

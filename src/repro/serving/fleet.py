@@ -23,14 +23,16 @@ BRAD-style front-end/worker split that removes the cap:
   the same :class:`~repro.serving.core.PredictionRequest` handle the
   in-process server does (``PENDING``/``DONE``/``CACHED``/``SHED``/
   ``FAILED``/``DEGRADED``); requests and results move over per-worker
-  duplex pipes.  Repeat plans travel as small integer tokens: router and
-  worker maintain *mirrored* bounded LRU plan tables (pipe messages are
-  ordered and both sides apply identical insert/touch/evict sequences), so
-  a hot plan is pickled once per worker, not once per request.  Each
-  request also carries its ``submitted_at`` timestamp, its per-request
-  ``deadline_ms`` and its :class:`~repro.serving.core.RequestPriority`
-  across the pipe, so a worker drops already-expired requests *before*
-  featurizing them (typed ``DeadlineExceededError``, counted).
+  duplex pipes.  The plan digest computed once at ingress is the pipe
+  token: router and worker keep *mirrored* bounded LRU plan tables keyed
+  by it (pipe messages are ordered and both sides apply identical
+  insert/touch/evict sequences), so a hot plan is pickled once per worker,
+  and the worker reads the digest off the wire instead of re-hashing.
+  Each request also carries its ``submitted_at`` timestamp, its
+  per-request ``deadline_ms`` and its :class:`~repro.serving.core.
+  RequestPriority` across the pipe, so a worker drops already-expired
+  requests *before* featurizing them (typed ``DeadlineExceededError``,
+  counted).
 * **Exactly-once completion across worker death — and worker hangs.**
   The router supervises its workers two ways.  A *dead* worker (crash,
   kill -9) is detected through its pipe; a *hung* worker — wedged in
@@ -87,7 +89,7 @@ explicit schedule — the replacement is healthy.
 
 Observability: ``fleet.worker.spawn`` / ``fleet.worker.restart``,
 ``fleet.route.hit`` / ``fleet.route.rebalance``, ``fleet.swap.broadcast``
-(registry swaps sent to every worker), ``fleet.queue.depth``
+(registry swaps sent to every worker), the ``fleet.queue.depth`` gauge
 (high-water mark of fleet-wide outstanding requests), the liveness plane's
 ``fleet.hang.detected`` / ``fleet.hang.killed``, the hedging plane's
 ``fleet.hedge.sent`` / ``fleet.hedge.won`` / ``fleet.hedge.wasted``,
@@ -113,21 +115,25 @@ import numpy as np
 
 from .. import perfstats
 from ..bench.parallel import WorkerProcess
-from ..featurization import database_digest, plan_fingerprint
+from ..featurization import database_digest
+# Not called here: the shared ingress in serving/core.py hashes each plan.
+# The name stays importable because perfbench/probes.py wraps
+# ``repro.serving.fleet.plan_fingerprint`` in traced benchmark runs.
+from ..featurization import plan_fingerprint  # noqa: F401
 from ..obs.metrics import REGISTRY, snapshot_delta
-from ..obs.trace import TraceContext, Tracer
+from ..obs.trace import TraceContext
 from ..optimizer.cost_model import AnalyticalCostModel
 from ..robustness import faults
 from .core import (DeadlineExceededError, DegradedResponseError,
-                   PredictionRequest, RequestPriority, RequestShedError,
-                   RequestStatus, ServerClosedError, ServerConfig,
-                   ServingCore, admission_limit)
+                   PredictionRequest, RequestFrontend, RequestPriority,
+                   RequestShedError, RequestStatus, ServerClosedError,
+                   ServerConfig, ServingCore)
 from .registry import HydrationError, ModelRegistry, RoutingError
 
 __all__ = ["PredictorFleet"]
 
 # Mirrored plan-LRU size: router and worker evict identically at this bound.
-_TOKEN_LRU_BOUND = 4096
+_PLAN_LRU_BOUND = 4096
 # Completed-hedge memory: how many hedged req_ids we remember so a loser's
 # late duplicate is counted as hedge waste instead of silently dropped.
 _HEDGED_DONE_BOUND = 4096
@@ -144,6 +150,16 @@ _ERROR_TYPES = {
     "RequestShedError": RequestShedError,
     "InjectedFault": faults.InjectedFault,
 }
+
+
+def _send_dropped():
+    """The router's ``fleet.pipe.send`` fault point: True when a message
+    must not be written.  A raised fault models a failed write, so it
+    drops the message too."""
+    try:
+        return faults.check("fleet.pipe.send") == "drop"
+    except faults.InjectedFault:
+        return True
 
 
 def _decode_error(encoded):
@@ -180,7 +196,7 @@ def _fleet_worker_main(conn, index, registry_root, dbs, config,
     registry = ModelRegistry(registry_root)
     core = ServingCore(registry, dbs, config=config, mmap=True)
     core.proc_label = f"worker-{index}"  # span proc tag
-    plans = OrderedDict()          # token -> plan (mirror of router table)
+    plans = OrderedDict()          # digest -> plan (mirror of router table)
     control = deque()              # control messages pulled mid-drain
     max_delay_s = config.max_delay_ms / 1e3
     shipped_metrics = [None]       # last snapshot shipped (delta baseline)
@@ -209,7 +225,7 @@ def _fleet_worker_main(conn, index, registry_root, dbs, config,
             return
         shipped_metrics[0] = current
 
-    def apply_tokens(message):
+    def apply_plan(message):
         """Mirror the router's plan-table mutation for one req message.
 
         Applied even when the fault plane drops the request afterwards:
@@ -217,20 +233,20 @@ def _fleet_worker_main(conn, index, registry_root, dbs, config,
         message that physically crossed the pipe must still mutate the
         table before it evaporates.
         """
-        token, payload = message[3], message[4]
+        digest, payload = message[3], message[4]
         if payload is not None:
-            plans[token] = payload
-            while len(plans) > _TOKEN_LRU_BOUND:
+            plans[digest] = payload
+            while len(plans) > _PLAN_LRU_BOUND:
                 plans.popitem(last=False)
         else:
-            plans.move_to_end(token)
+            plans.move_to_end(digest)
 
     def receive():
         """One pipe message through the recv fault point; None = dropped."""
         message = conn.recv()
         if faults.check("fleet.pipe.recv") == "drop":
             if message[0] == "req":
-                apply_tokens(message)
+                apply_plan(message)
             return None
         return message
 
@@ -290,12 +306,13 @@ def _fleet_worker_main(conn, index, registry_root, dbs, config,
         coalesced_at = time.perf_counter()
         requests, req_ids = [], []
         for message, recv_ts in zip(batch, recv_times):
-            (_, req_id, db_name, token, _payload, submitted_at,
+            (_, req_id, db_name, digest, _payload, submitted_at,
              deadline_ms, priority, trace_send_ts) = message
-            apply_tokens(message)
-            request = PredictionRequest(db_name, plans[token],
+            apply_plan(message)
+            request = PredictionRequest(db_name, plans[digest],
                                         priority=RequestPriority(priority),
-                                        deadline_ms=deadline_ms)
+                                        deadline_ms=deadline_ms,
+                                        digest=digest)
             # The router's submit timestamp: deadlines and latency count
             # pipe time (perf_counter is system-wide on this platform).
             request.submitted_at = submitted_at
@@ -336,33 +353,30 @@ class _PendingEntry:
     nothing to complete.
     """
 
-    __slots__ = ("req_id", "request", "digest", "slots", "hedges",
-                 "last_send")
+    __slots__ = ("req_id", "request", "slots", "hedges", "last_send")
 
-    def __init__(self, req_id, request, digest):
+    def __init__(self, req_id, request):
         self.req_id = req_id
         self.request = request
-        self.digest = digest
         self.slots = []
         self.hedges = 0
         self.last_send = time.perf_counter()
 
 
 class _WorkerSlot:
-    """Router-side state for one worker: pipe, pending map, plan tokens,
+    """Router-side state for one worker: pipe, pending map, plan table,
     liveness timestamps."""
 
-    __slots__ = ("index", "wp", "pending", "tokens", "next_token",
-                 "send_lock", "epoch", "closing", "last_stats",
-                 "stats_event", "last_seen", "last_ping")
+    __slots__ = ("index", "wp", "pending", "plans", "send_lock", "epoch",
+                 "closing", "last_stats", "stats_event", "last_seen",
+                 "last_ping")
 
     def __init__(self, index, wp):
         self.index = index
         self.wp = wp
         self.pending = OrderedDict()   # req_id -> _PendingEntry
-        self.tokens = OrderedDict()    # plan digest -> token (mirrored LRU)
-        self.next_token = 0
-        self.send_lock = threading.Lock()  # token table + wire order
+        self.plans = OrderedDict()     # digests sent (mirrored LRU)
+        self.send_lock = threading.Lock()  # plan table + wire order
         self.epoch = 0                 # bumped per restart
         self.closing = False
         self.last_stats = None
@@ -370,40 +384,34 @@ class _WorkerSlot:
         self.last_seen = time.monotonic()  # any inbound message
         self.last_ping = 0.0               # last heartbeat sent
 
-    def token_for(self, digest, plan):
-        """Token + payload for one request (caller holds ``send_lock``).
+    def payload_for(self, request):
+        """The plan payload for one request (caller holds ``send_lock``).
 
-        Returns ``(token, plan)`` the first time a plan crosses this pipe
-        and ``(token, None)`` afterwards; the insert/touch/evict sequence
-        is exactly what the worker applies on receipt, so both tables stay
-        mirrored.
+        Returns the plan the first time its digest crosses this pipe and
+        ``None`` afterwards; the insert/touch/evict sequence is exactly
+        what the worker applies on receipt, so both tables stay mirrored.
         """
-        token = self.tokens.get(digest)
-        if token is not None:
-            self.tokens.move_to_end(digest)
-            return token, None
-        token = self.next_token
-        self.next_token += 1
-        self.tokens[digest] = token
-        while len(self.tokens) > _TOKEN_LRU_BOUND:
-            self.tokens.popitem(last=False)
-        return token, plan
+        digest = request.digest
+        if digest in self.plans:
+            self.plans.move_to_end(digest)
+            return None
+        self.plans[digest] = None
+        while len(self.plans) > _PLAN_LRU_BOUND:
+            self.plans.popitem(last=False)
+        return request.plan
 
-    def send_locked(self, req_id, request, digest):
+    def send_locked(self, req_id, request):
         """Encode and send one request (caller holds ``send_lock``).
 
         The ``fleet.pipe.send`` fault point is consulted *before* the
-        token assignment: a dropped message must leave the mirrored plan
-        tables untouched, exactly as if it was never formed.
+        plan-table update: a dropped message must leave the mirrored plan
+        tables untouched, exactly as if it was never formed.  The request
+        stays registered in ``pending``, so hedging or a restart re-sends
+        it.
         """
-        try:
-            if faults.check("fleet.pipe.send") == "drop":
-                return
-        except faults.InjectedFault:
-            # A raised send fault models a failed write: the request stays
-            # registered in `pending`, so hedging or a restart re-sends it.
+        if _send_dropped():
             return
-        token, payload = self.token_for(digest, request.plan)
+        payload = self.payload_for(request)
         trace = request.trace
         send_ts = None
         if trace is not None:
@@ -414,33 +422,14 @@ class _WorkerSlot:
             trace.add_stage("queue", request.submitted_at, send_ts,
                             "router")
         try:
-            self.wp.conn.send(("req", req_id, request.db_name, token,
-                               payload, request.submitted_at,
+            self.wp.conn.send(("req", req_id, request.db_name,
+                               request.digest, payload, request.submitted_at,
                                request.deadline_ms, request.priority.value,
                                send_ts))
         except (OSError, BrokenPipeError):
             # Worker died under us: the request is registered in
             # `pending`, so the supervisor's restart will re-send it.
             pass
-
-    def send(self, req_id, request, digest):
-        with self.send_lock:
-            self.send_locked(req_id, request, digest)
-
-    def send_control(self, message):
-        """Send a control message through the send fault point; swallows
-        pipe errors (a dead worker is handled by its collector)."""
-        with self.send_lock:
-            try:
-                if faults.check("fleet.pipe.send") == "drop":
-                    return False
-            except faults.InjectedFault:
-                return False
-            try:
-                self.wp.conn.send(message)
-            except (OSError, BrokenPipeError):
-                return False
-        return True
 
     def writable(self):
         """True when the pipe can take a write right now, without blocking.
@@ -455,23 +444,35 @@ class _WorkerSlot:
         except (OSError, ValueError):
             return False
 
-    def send_control_nowait(self, message):
-        """Best-effort control send: never blocks on the lock or the pipe.
-
-        ``False`` means the lock was contended or the buffer full — "try
-        again next scan", never "wait here".  Control messages are tiny
-        (well under ``PIPE_BUF``), so a positive writability check makes
-        the actual send non-blocking.
-        """
-        if not self.send_lock.acquire(blocking=False):
+    def send(self, req_id, request, wait=True):
+        """Send one request.  ``wait=False`` is the best-effort hedging
+        path: it never waits for a contended lock or a full pipe.  On
+        ``False`` the request stays registered in ``pending``, so a later
+        hedge scan or a restart re-send recovers it."""
+        if not self.send_lock.acquire(blocking=wait):
             return False
         try:
-            if not self.writable():
+            if not wait and not self.writable():
                 return False
-            try:
-                if faults.check("fleet.pipe.send") == "drop":
-                    return False
-            except faults.InjectedFault:
+            self.send_locked(req_id, request)
+        finally:
+            self.send_lock.release()
+        return True
+
+    def send_control(self, message, wait=True):
+        """Send a control message through the send fault point; swallows
+        pipe errors (a dead worker is handled by its collector).
+
+        ``wait=False`` never blocks on the lock or the pipe: ``False`` then
+        means the lock was contended or the buffer full — "try again next
+        scan", never "wait here".  Control messages are tiny (well under
+        ``PIPE_BUF``), so a positive writability check makes the actual
+        send non-blocking.
+        """
+        if not self.send_lock.acquire(blocking=wait):
+            return False
+        try:
+            if (not wait and not self.writable()) or _send_dropped():
                 return False
             try:
                 self.wp.conn.send(message)
@@ -481,29 +482,16 @@ class _WorkerSlot:
             self.send_lock.release()
         return True
 
-    def send_nowait(self, req_id, request, digest):
-        """Best-effort request send (the hedging path); never waits for a
-        contended lock or a full pipe.  On ``False`` the request stays
-        registered in ``pending``, so a later hedge scan or a restart
-        re-send recovers it."""
-        if not self.send_lock.acquire(blocking=False):
-            return False
-        try:
-            if not self.writable():
-                return False
-            self.send_locked(req_id, request, digest)
-        finally:
-            self.send_lock.release()
-        return True
 
-
-class PredictorFleet:
+class PredictorFleet(RequestFrontend):
     """Multi-process prediction service: router + forked worker pool.
 
     Drop-in for :class:`~repro.serving.server.PredictorServer` where it
-    counts: ``submit`` / ``submit_many`` / ``predict`` / ``stats`` /
-    context-manager lifecycle all match, so the load harness and the
-    benchmarks drive either transparently.
+    counts: both share the ingress and client API of
+    :class:`~repro.serving.core.RequestFrontend` (``submit_many`` /
+    ``predict`` / tracer / context-manager lifecycle), and ``submit`` /
+    ``stats`` match, so the load harness and the benchmarks drive either
+    transparently.
 
     ::
 
@@ -549,8 +537,8 @@ class PredictorFleet:
                  hedge_after_ms=None, max_hedges=3):
         if not isinstance(registry, ModelRegistry):
             registry = ModelRegistry(registry)
+        super().__init__(dbs, config or ServerConfig())
         self.registry = registry
-        self.config = config or ServerConfig()
         self.n_workers = max(1, int(n_workers))
         self.spill_threshold = max(1, int(spill_threshold))
         self._fault_schedule = fault_schedule
@@ -566,18 +554,14 @@ class PredictorFleet:
             hedge_after_ms = float(hedge_after_ms)
         self._hedge_after_ms = hedge_after_ms
         self.max_hedges = max(0, int(max_hedges))
-        self._dbs = dict(dbs)
         self._db_digests = {name: database_digest(db).hex()
                             for name, db in self._dbs.items()}
-        self._db_fingerprints = {name: db.fingerprint()
-                                 for name, db in self._dbs.items()}
         # Shard preference: database fingerprint -> worker index.
         self._preferred = {name: int(digest[:8], 16) % self.n_workers
                            for name, digest in self._db_digests.items()}
         self._lock = threading.Lock()
         self._not_full = threading.Condition(self._lock)
         self._all_drained = threading.Condition(self._lock)
-        self._digest_memo = OrderedDict()
         self._counts = Counter()
         self._pending = OrderedDict()   # req_id -> _PendingEntry
         self._hedged_done = OrderedDict()  # completed hedged req_ids
@@ -587,29 +571,11 @@ class PredictorFleet:
         self._queue_high_water = 0
         self._req_seq = 0
         self._ping_seq = 0
-        # Observability: submit-order seq feeds deterministic trace ids.
-        self._seq_lock = threading.Lock()
-        self._submit_seq = 0
-        self._tracer = (Tracer(sample_every=self.config.trace_sample_every)
-                        if self.config.trace else None)
         self._slots = []
         self._running = False
         self._accepting = False
         self._seen_generation = registry.generation
         self._registry_root = str(registry.store.root)
-
-    # ------------------------------------------------------------------
-    # Observability
-    # ------------------------------------------------------------------
-    @property
-    def tracer(self):
-        return self._tracer
-
-    def attach_tracer(self, tracer):
-        """Attach (or detach with ``None``) a span sink; overrides the
-        config-driven tracer.  Per-request cost is zero when detached."""
-        self._tracer = tracer
-        return tracer
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -644,16 +610,18 @@ class PredictorFleet:
         # filling pipe — the detector's kill is what unblocks such a send
         # (BrokenPipeError), so the two must never share a thread.
         if self._hang_timeout_s is not None:
-            threading.Thread(target=self._liveness_loop,
+            threading.Thread(target=self._scan_loop,
+                             args=(self._ping_and_detect,),
                              name="repro-fleet-liveness",
                              daemon=True).start()
         if self._hedge_after_ms is not None:
-            threading.Thread(target=self._hedge_loop,
+            threading.Thread(target=self._scan_loop,
+                             args=(self._maybe_hedge,),
                              name="repro-fleet-hedge",
                              daemon=True).start()
         return self
 
-    def close(self, drain=True):
+    def stop(self, drain=True):
         """Stop the fleet; every pending handle resolves, none hangs.
 
         ``drain=True`` waits for all outstanding requests to complete
@@ -697,17 +665,6 @@ class PredictorFleet:
                 slot.wp.process.join(timeout=5.0)
             slot.wp.stop()
 
-    def stop(self, drain=True):
-        """Alias for :meth:`close` (PredictorServer parity)."""
-        self.close(drain=drain)
-
-    def __enter__(self):
-        return self.start()
-
-    def __exit__(self, exc_type, exc, tb):
-        self.close()
-        return False
-
     # ------------------------------------------------------------------
     # Client API (PredictorServer-compatible)
     # ------------------------------------------------------------------
@@ -727,90 +684,39 @@ class PredictorFleet:
         Admitted requests are routed to their database's preferred shard,
         spilling to the least-loaded worker when the shard is hot.
         """
-        if db_name not in self._dbs:
-            raise KeyError(f"database {db_name!r} is not registered with "
-                           "this fleet")
         self._maybe_swap()
-        priority = RequestPriority(priority)
-        request = PredictionRequest(db_name, plan, priority=priority,
-                                    deadline_ms=deadline_ms)
-        digest = self._plan_digest(db_name, plan)
-        tracer = self._tracer
-        if tracer is not None and tracer.enabled:
-            with self._seq_lock:
-                seq = self._submit_seq
-                self._submit_seq += 1
-            request.trace = tracer.context_for(
-                digest, seq, db_name=db_name,
-                priority=priority.name.lower(),
-                submitted_at=request.submitted_at)
-        limit = min(self.config.queue_depth,
-                    admission_limit(priority, self.config.queue_depth,
-                                    self.config))
-        deadline = (None if timeout is None
-                    else time.monotonic() + timeout)
+        request = self._ingress(plan, db_name, priority, deadline_ms)
         brownout = False
         with self._lock:
             self._counts["requests"] += 1
-            while self._accepting and self._outstanding >= limit:
-                remaining = (None if deadline is None
-                             else deadline - time.monotonic())
-                if (not block
-                        or (remaining is not None and remaining <= 0)
-                        or not self._not_full.wait(remaining)):
-                    break
-            if not self._accepting or self._outstanding >= limit:
-                brownout = (priority is RequestPriority.LOW
+            if not self._has_room(request, lambda: self._outstanding,
+                                  block, timeout):
+                brownout = (request.priority is RequestPriority.LOW
                             and self._accepting
                             and self.config.brownout_degraded
                             and self.config.degraded_fallback)
                 if not brownout:
                     self._counts["shed"] += 1
-                    perfstats.increment("serve.shed.count")
-                    perfstats.increment(
-                        f"serve.shed.priority.{priority.name.lower()}")
-                    request._finish(RequestStatus.SHED)
+                    self._shed(request)
                     return request
             else:
                 req_id = self._req_seq
                 self._req_seq += 1
                 slot = self._route_locked(db_name)
-                entry = _PendingEntry(req_id, request, digest)
+                entry = _PendingEntry(req_id, request)
                 entry.slots.append(slot)
                 self._pending[req_id] = entry
                 slot.pending[req_id] = entry
                 self._outstanding += 1
                 if self._outstanding > self._queue_high_water:
-                    perfstats.increment(
-                        "fleet.queue.depth",
-                        self._outstanding - self._queue_high_water)
                     self._queue_high_water = self._outstanding
+                    REGISTRY.set_gauge("fleet.queue.depth",
+                                       self._queue_high_water)
         if brownout:
             self._finish_brownout(request)
             return request
-        slot.send(req_id, request, digest)
+        slot.send(req_id, request)
         return request
-
-    def submit_many(self, plans, db_name, block=False, timeout=None,
-                    priority=RequestPriority.NORMAL, deadline_ms=None):
-        return [self.submit(plan, db_name, block=block, timeout=timeout,
-                            priority=priority, deadline_ms=deadline_ms)
-                for plan in plans]
-
-    def predict(self, plans, db_name, timeout=None, allow_degraded=False,
-                priority=RequestPriority.NORMAL):
-        """Blocking bulk prediction (backpressure, never sheds)."""
-        requests = self.submit_many(plans, db_name, block=True,
-                                    timeout=timeout, priority=priority)
-        values = [request.result(timeout) for request in requests]
-        if not allow_degraded:
-            degraded = sum(request.degraded for request in requests)
-            if degraded:
-                raise DegradedResponseError(
-                    f"{degraded}/{len(requests)} predictions came from the "
-                    "analytical fallback; pass allow_degraded=True to "
-                    "accept flagged degraded values")
-        return np.array(values)
 
     def refresh(self):
         """Re-read the registry from disk and rebroadcast to all workers."""
@@ -875,23 +781,6 @@ class PredictorFleet:
         for slot in slots:
             slot.send_control(("refresh",))
 
-    def _plan_digest(self, db_name, plan):
-        """Memoized plan content fingerprint (the sharding + token key)."""
-        memo_key = (id(plan), db_name)
-        with self._lock:
-            entry = self._digest_memo.get(memo_key)
-            if entry is not None and entry[0] is plan:
-                return entry[1]
-        digest = plan_fingerprint(
-            self._dbs[db_name], plan, self.config.cards,
-            db_fingerprint=self._db_fingerprints[db_name])
-        with self._lock:
-            self._digest_memo[memo_key] = (plan, digest)
-            while len(self._digest_memo) > 4 * max(
-                    self.config.result_cache_size, 1024):
-                self._digest_memo.popitem(last=False)
-        return digest
-
     # ------------------------------------------------------------------
     # Liveness plane: heartbeats, hang detection, hedged requests
     # ------------------------------------------------------------------
@@ -904,26 +793,17 @@ class PredictorFleet:
             candidates.append(self._hedge_after_ms / 2e3)
         return max(min(candidates), 0.01)
 
-    def _liveness_loop(self):
+    def _scan_loop(self, scan):
+        """Run ``scan()`` once per scan interval until the fleet stops."""
         interval = self._scan_interval_s
         while True:
             time.sleep(interval)
             with self._lock:
                 if not self._running:
                     return
-                slots = list(self._slots)
-            self._ping_and_detect(slots)
+            scan()
 
-    def _hedge_loop(self):
-        interval = self._scan_interval_s
-        while True:
-            time.sleep(interval)
-            with self._lock:
-                if not self._running:
-                    return
-            self._maybe_hedge()
-
-    def _ping_and_detect(self, slots):
+    def _ping_and_detect(self):
         """Heartbeat every live worker; SIGKILL the unresponsive ones.
 
         A slot is *unresponsive* when nothing — results, stats, pongs —
@@ -938,7 +818,7 @@ class PredictorFleet:
         completion contract carries over unchanged.
         """
         now = time.monotonic()
-        for slot in slots:
+        for slot in list(self._slots):
             if slot.closing or not slot.wp.alive:
                 continue
             if (now - slot.last_seen > self._hang_timeout_s
@@ -957,7 +837,7 @@ class PredictorFleet:
             if now - slot.last_ping >= self._ping_interval_s:
                 slot.last_ping = now
                 self._ping_seq += 1
-                slot.send_control_nowait(("ping", self._ping_seq))
+                slot.send_control(("ping", self._ping_seq), wait=False)
 
     def hedge_threshold_ms(self):
         """The effective straggler threshold, or ``None`` when hedging is
@@ -1028,7 +908,7 @@ class PredictorFleet:
             # Best-effort: a send that cannot proceed without blocking is
             # skipped — the entry stays registered on the target, so the
             # next scan (or the target's restart) re-ships it.
-            target.send_nowait(entry.req_id, entry.request, entry.digest)
+            target.send(entry.req_id, entry.request, wait=False)
 
     # ------------------------------------------------------------------
     # Collection + supervision
@@ -1148,15 +1028,14 @@ class PredictorFleet:
             now = time.perf_counter()
             with slot.send_lock:
                 slot.wp.restart(args=self._worker_args(slot.index, None))
-                slot.tokens.clear()
-                slot.next_token = 0
+                slot.plans.clear()
                 slot.last_seen = time.monotonic()
                 slot.last_ping = 0.0
                 for req_id, entry in resend:
                     entry.last_send = now
                     if entry.request.trace is not None:
                         entry.request.trace.annotate("requeued")
-                    slot.send_locked(req_id, entry.request, entry.digest)
+                    slot.send_locked(req_id, entry.request)
             self._spawn_collector(slot)
 
     def kill_worker(self, index):
@@ -1195,7 +1074,7 @@ class PredictorFleet:
             # the non-blocking send until the stats deadline, then give
             # up on that worker — an unwritable pipe for the whole window
             # is exactly the hang stats() must survive.
-            while not slot.send_control_nowait(("stats_req",)):
+            while not slot.send_control(("stats_req",), wait=False):
                 if time.monotonic() >= deadline or not slot.wp.alive:
                     unresponsive.add(slot.index)
                     perfstats.increment("fleet.stats.unresponsive")

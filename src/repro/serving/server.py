@@ -14,10 +14,12 @@ handling for everything the fault plane (:mod:`repro.robustness.faults`)
 can throw.
 
 The request/route/cache/hardening logic lives in the transport-agnostic
-:class:`~repro.serving.core.ServingCore`; this module owns only the thread
-transport around it (bounded queue, deadline/size trigger, supervised
-batcher thread).  :mod:`repro.serving.fleet` drives the same core from
-forked worker processes.
+:class:`~repro.serving.core.ServingCore`, and the ingress (plan digest,
+trace context) plus the client helpers in
+:class:`~repro.serving.core.RequestFrontend`; this module owns only the
+thread transport around them (bounded queue, deadline/size trigger,
+supervised batcher thread).  :mod:`repro.serving.fleet` drives the same
+core from forked worker processes.
 
 Guarantees:
 
@@ -83,15 +85,12 @@ import threading
 import time
 from collections import deque
 
-import numpy as np
-
 from .. import perfstats
-from ..obs.trace import Tracer
 from ..robustness import faults
 from .core import (DeadlineExceededError, DegradedResponseError,
-                   PredictionRequest, RequestPriority, RequestShedError,
-                   RequestStatus, ServerClosedError, ServerConfig,
-                   ServingCore, ServingRecord, admission_limit)
+                   PredictionRequest, RequestFrontend, RequestPriority,
+                   RequestShedError, RequestStatus, ServerClosedError,
+                   ServerConfig, ServingCore, ServingRecord)
 from .registry import RoutingError
 
 __all__ = ["PredictorServer", "ServerConfig", "PredictionRequest",
@@ -100,7 +99,7 @@ __all__ = ["PredictorServer", "ServerConfig", "PredictionRequest",
            "ServerClosedError", "ServingRecord"]
 
 
-class PredictorServer:
+class PredictorServer(RequestFrontend):
     """Thread-based online prediction service over a model registry.
 
     ``dbs`` maps database names to :class:`~repro.storage.Database` objects
@@ -116,8 +115,8 @@ class PredictorServer:
                  core=None):
         self.core = core or ServingCore(registry, dbs, config=config,
                                         estimator_cache=estimator_cache)
+        super().__init__(self.core.dbs, self.core.config)
         self.registry = self.core.registry
-        self.config = self.core.config
         # The transport lock guards the queue, the in-flight batch and the
         # high-water mark; all serving state lives behind the core's lock.
         self._lock = threading.Lock()
@@ -129,24 +128,6 @@ class PredictorServer:
         self._accepting = True  # False only after stop(); start() restores
         self._thread = None
         self._queue_high_water = 0
-        # Observability: submit-order seq feeds deterministic trace ids.
-        self._seq_lock = threading.Lock()
-        self._submit_seq = 0
-        self._tracer = (Tracer(sample_every=self.config.trace_sample_every)
-                        if self.config.trace else None)
-
-    # ------------------------------------------------------------------
-    # Observability
-    # ------------------------------------------------------------------
-    @property
-    def tracer(self):
-        return self._tracer
-
-    def attach_tracer(self, tracer):
-        """Attach (or detach with ``None``) a span sink; overrides the
-        config-driven tracer.  Per-request cost is zero when detached."""
-        self._tracer = tracer
-        return tracer
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -201,17 +182,6 @@ class PredictorServer:
                     self._thread = None
                     return
 
-    def close(self, drain=True):
-        """Alias for :meth:`stop` (the satellite shutdown contract)."""
-        self.stop(drain=drain)
-
-    def __enter__(self):
-        return self.start()
-
-    def __exit__(self, exc_type, exc, tb):
-        self.stop()
-        return False
-
     # ------------------------------------------------------------------
     # Client API
     # ------------------------------------------------------------------
@@ -235,13 +205,8 @@ class PredictorServer:
         submissions *before* :meth:`start` queue up normally.
         """
         core = self.core
-        if not core.has_db(db_name):
-            raise KeyError(f"database {db_name!r} is not registered with "
-                           "this server")
         core.maybe_swap()
-        priority = RequestPriority(priority)
-        request = PredictionRequest(db_name, plan, priority=priority,
-                                    deadline_ms=deadline_ms)
+        request = self._ingress(plan, db_name, priority, deadline_ms)
         core.count("requests")
         route = core.route_for(db_name)
         if route is None:
@@ -250,86 +215,20 @@ class PredictorServer:
                 f"no deployment serves {db_name!r} and the registry "
                 "has no default model"))
             return request
-        # The content hash is a pure function of the plan: compute it
-        # outside the locks so concurrent first-seen submits don't serialize
-        # behind each other's O(plan) digest walks.
-        digest = core.plan_digest(db_name, plan)
-        tracer = self._tracer
-        if tracer is not None and tracer.enabled:
-            with self._seq_lock:
-                seq = self._submit_seq
-                self._submit_seq += 1
-            request.trace = tracer.context_for(
-                digest, seq, db_name=db_name,
-                priority=priority.name.lower(),
-                submitted_at=request.submitted_at)
-        value = core.cached_value(
-            route, digest, db_name=db_name, plan=plan,
-            trace_id=(request.trace.trace_id
-                      if request.trace is not None else None))
-        if value is not None:
-            if request.trace is not None:
-                request.trace.annotate("cache.hit")
-                request.trace.add_stage("cache", request.submitted_at,
-                                        time.perf_counter(), "server")
-            request._finish(RequestStatus.CACHED, value=value,
-                            served_by=route.served_by)
+        if core.answer_cached(route, request, stage_proc="server"):
             return request
-        deadline = (None if timeout is None
-                    else time.monotonic() + timeout)
-        limit = min(self.config.queue_depth,
-                    admission_limit(priority, self.config.queue_depth,
-                                    self.config))
         with self._lock:
-            while self._accepting and len(self._queue) >= limit:
-                remaining = (None if deadline is None
-                             else deadline - time.monotonic())
-                if (not block
-                        or (remaining is not None and remaining <= 0)
-                        or not self._not_full.wait(remaining)):
-                    break
-            if not self._accepting or len(self._queue) >= limit:
-                shed = True
-            else:
-                shed = False
+            admitted = self._has_room(request, lambda: len(self._queue),
+                                      block, timeout)
+            if admitted:
                 self._queue.append(request)
                 self._queue_high_water = max(self._queue_high_water,
                                              len(self._queue))
                 self._not_empty.notify()
-        if shed:
+        if not admitted:
             core.count("shed")
-            perfstats.increment("serve.shed.count")
-            perfstats.increment(
-                f"serve.shed.priority.{priority.name.lower()}")
-            request._finish(RequestStatus.SHED)
+            self._shed(request)
         return request
-
-    def submit_many(self, plans, db_name, block=False, timeout=None,
-                    priority=RequestPriority.NORMAL, deadline_ms=None):
-        return [self.submit(plan, db_name, block=block, timeout=timeout,
-                            priority=priority, deadline_ms=deadline_ms)
-                for plan in plans]
-
-    def predict(self, plans, db_name, timeout=None, allow_degraded=False):
-        """Blocking bulk prediction (backpressure, never sheds).
-
-        Returns runtimes (ms) aligned with ``plans``; raises if any request
-        failed.  A ``DEGRADED`` response (analytical fallback while the
-        circuit breaker is open) raises :class:`DegradedResponseError`
-        unless ``allow_degraded=True`` — degraded values are never handed
-        out silently.
-        """
-        requests = self.submit_many(plans, db_name, block=True,
-                                    timeout=timeout)
-        values = [request.result(timeout) for request in requests]
-        if not allow_degraded:
-            degraded = sum(request.degraded for request in requests)
-            if degraded:
-                raise DegradedResponseError(
-                    f"{degraded}/{len(requests)} predictions came from the "
-                    "analytical fallback; pass allow_degraded=True to "
-                    "accept flagged degraded values")
-        return np.array(values)
 
     def refresh(self):
         """Force re-resolution of routes from the registry (e.g. after a
@@ -418,9 +317,6 @@ class PredictorServer:
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    def _plan_digest(self, db_name, plan):
-        return self.core.plan_digest(db_name, plan)
-
     def stats(self):
         """Request/batch/cache/swap/fault counters, batch-size histogram,
         and per-deployment breaker states."""
@@ -435,10 +331,6 @@ class PredictorServer:
         stats["result_cache_entries"] = cache_entries
         stats["breakers"] = breakers
         return stats
-
-    @property
-    def _dbs(self):
-        return self.core.dbs
 
     def __repr__(self):
         return (f"PredictorServer(dbs={sorted(self.core.dbs)}, "

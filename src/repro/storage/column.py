@@ -47,7 +47,7 @@ class Column:
     dtype: DataType
     values: np.ndarray
     dictionary: list = field(default=None, repr=False)
-    _dictionary_index: dict = field(default=None, repr=False, compare=False)
+    _dictionary_index: tuple = field(default=None, repr=False, compare=False)
     _null_mask_cache: tuple = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
@@ -69,11 +69,21 @@ class Column:
 
     @property
     def dictionary_index(self):
-        """``word -> code`` map (built once; predicate evaluation hot path)."""
-        index = self._dictionary_index
-        if index is None or len(index) != len(self.dictionary):
-            index = {word: code for code, word in enumerate(self.dictionary)}
-            self._dictionary_index = index
+        """``word -> code`` map (predicate evaluation hot path).
+
+        Built once per dictionary (rebuilt only when ``dictionary`` is
+        replaced or grows).  A word the dictionary repeats maps to its
+        first code, as ``list.index`` finds it.
+        """
+        dictionary = self.dictionary
+        cached = self._dictionary_index
+        if (cached is not None and cached[0] is dictionary
+                and cached[1] == len(dictionary)):
+            return cached[2]
+        index = {}
+        for code, word in enumerate(dictionary):
+            index.setdefault(word, code)
+        self._dictionary_index = (dictionary, len(dictionary), index)
         return index
 
     @property

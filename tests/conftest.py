@@ -1,5 +1,7 @@
 """Shared fixtures: small databases and queries with known properties."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -98,3 +100,36 @@ def join_query():
         filters={"customers": Comparison("customers", "category", PredOp.EQ, "gold")},
         aggregates=(AggregateSpec("avg", "orders", "amount"),),
     )
+
+
+@pytest.fixture()
+def digest_calls(monkeypatch):
+    """Count plan-digest computations, split by process.
+
+    Wraps ``repro.featurization.fingerprint._digest`` (the one hash behind
+    ``plan_fingerprint`` and ``FeaturizationCache.key``) so every call
+    bumps a test-only registry counter: ``test.digest.main`` in this
+    process, ``test.digest.forked`` in forked children.  Fleet workers
+    inherit the wrapper through the fork and ship their counts back in
+    their ``stats()`` metric deltas.  Returns a reader of ``(main,
+    forked)`` calls since the fixture started.
+    """
+    from repro.featurization import fingerprint
+    from repro.obs.metrics import REGISTRY
+
+    names = ["test.digest.main", "test.digest.forked"]
+    original = fingerprint._digest
+    main_pid = os.getpid()
+
+    def counted(*args):
+        REGISTRY.increment(names[0] if os.getpid() == main_pid
+                           else names[1])
+        return original(*args)
+
+    monkeypatch.setattr(fingerprint, "_digest", counted)
+    start = REGISTRY.counter_values(names)
+
+    def read():
+        now = REGISTRY.counter_values(names)
+        return tuple(now[name] - start[name] for name in names)
+    return read

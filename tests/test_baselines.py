@@ -144,3 +144,27 @@ class TestMSCN:
         trace = generate_trace(db, [simple])
         preds = fitted.predict(list(trace))
         assert preds.shape == (1,) and preds[0] > 0
+
+
+@pytest.mark.parametrize("featurizer", ["mscn", "e2e"])
+def test_normalized_literal_of_repeated_word_uses_first_code(featurizer):
+    """A word the dictionary repeats normalizes by its first code, as the
+    statistics and ``list.index`` see it."""
+    from repro.baselines import E2EFeaturizer, MSCNFeaturizer
+    from repro.sql import Comparison, PredOp
+    from repro.storage import Column, Database, DataType, Schema, Table
+
+    words = Column("word", DataType.CATEGORICAL,
+                   np.array([0, 1, 2, 3, 2, 0], dtype=np.int64),
+                   dictionary=["a", "b", "a", "c"])
+    ids = Column("id", DataType.INT, np.arange(6, dtype=np.float64))
+    db = Database("dups", Schema(["t"], []), [Table("t", [ids, words])])
+    encode = {"mscn": MSCNFeaturizer, "e2e": E2EFeaturizer}[featurizer](db)
+
+    def literal(word):
+        return encode._normalized_literal(
+            Comparison("t", "word", PredOp.EQ, word))
+
+    assert literal("a") == 0.0
+    assert literal("c") == 3 / 4
+    assert literal("zzz") == 0.5

@@ -25,6 +25,7 @@ from repro.core.model import ZeroShotModel
 from repro.core.training import predict_runtimes
 from repro.datagen import generate_database, random_database_spec
 from repro.featurization import FeatureScalers, TargetScaler, database_digest
+from repro.obs.metrics import REGISTRY
 from repro.serving import (LoadConfig, ModelRegistry, PredictorFleet,
                            RequestStatus, ServerConfig, run_load,
                            skewed_requests)
@@ -228,6 +229,28 @@ class TestFleetEquivalence:
         assert stats["workers"] == n_workers
         assert stats["cached"] > 0
         assert stats["failed"] == 0 and stats["shed"] == 0
+
+    def test_router_hashes_once_workers_never(self, world, tmp_path,
+                                              digest_calls):
+        """The router's ingress digest is the pipe token and the workers'
+        featurization-cache key: one hash per fresh plan object at the
+        router, none in any worker, none for a resubmitted object."""
+        registry = _registry_with(world, tmp_path)
+        plans_a = [r.plan for r in world["records_a"]]
+        plans_b = [r.plan for r in world["records_b"]]
+        batches = REGISTRY.counter_values(["serve.batch.count"])
+        with PredictorFleet(registry, world["dbs"], n_workers=2) as fleet:
+            got_a = fleet.predict(plans_a, world["db_a"].name)
+            got_b = fleet.predict(plans_b, world["db_b"].name)
+            again_a = fleet.predict(plans_a, world["db_a"].name)
+            fleet.stats()  # workers ship their metric deltas
+        # Worker metrics did reach this process, so zero is a real count.
+        assert (REGISTRY.counter_values(["serve.batch.count"])
+                ["serve.batch.count"] > batches["serve.batch.count"])
+        assert digest_calls() == (len(plans_a) + len(plans_b), 0)
+        np.testing.assert_array_equal(got_a, world["expected_a"])
+        np.testing.assert_array_equal(got_b, world["expected_b"])
+        np.testing.assert_array_equal(again_a, world["expected_a"])
 
     def test_spill_keeps_values_identical(self, world, tmp_path):
         """spill_threshold=1 forces nearly every request off its preferred

@@ -401,7 +401,8 @@ class TestFleetTracing:
 # ----------------------------------------------------------------------
 _FAMILY = re.compile(r"^(serve|fleet|controller|fault|store)\.")
 _FIRE = re.compile(
-    r"(?:perfstats|REGISTRY)\.(increment|observe)\(\s*(f?)\"([^\"]+)\"")
+    r"(?:perfstats|REGISTRY)\.(increment|observe|set_gauge)\(\s*(f?)"
+    r"\"([^\"]+)\"")
 _DYNAMIC = re.compile(r"\{[^{}]*\}|<[a-z_]+>")
 
 
@@ -411,12 +412,11 @@ def _normalize(name):
 
 
 def _fired_names():
-    counters, histograms = set(), set()
+    fired = {"increment": set(), "observe": set(), "set_gauge": set()}
     for path in (REPO / "src").rglob("*.py"):
         for kind, _f, name in _FIRE.findall(path.read_text()):
-            (histograms if kind == "observe" else counters).add(
-                _normalize(name))
-    return counters, histograms
+            fired[kind].add(_normalize(name))
+    return fired["increment"], fired["observe"], fired["set_gauge"]
 
 
 def _covered(doc_name, fired):
@@ -440,30 +440,36 @@ def _covered(doc_name, fired):
 
 class TestCatalog:
     def test_catalog_covers_every_fired_counter(self):
-        counters, _ = _fired_names()
+        counters, _, _ = _fired_names()
         patterns = {_normalize(p) for p, _ in catalog.COUNTERS}
         missing = sorted(n for n in counters
                          if _FAMILY.match(n) and n not in patterns)
         assert not missing, f"fired but not in catalog: {missing}"
 
     def test_every_catalog_counter_is_fired(self):
-        counters, _ = _fired_names()
+        counters, _, _ = _fired_names()
         stale = sorted(p for p, _ in catalog.COUNTERS
                        if _normalize(p) not in counters)
         assert not stale, f"in catalog but never fired: {stale}"
 
     def test_every_catalog_histogram_is_observed(self):
-        _, histograms = _fired_names()
+        _, histograms, _ = _fired_names()
         stale = sorted(n for n, _ in catalog.HISTOGRAMS
                        if _normalize(n) not in histograms)
         assert not stale, f"in catalog but never observed: {stale}"
+
+    def test_every_catalog_gauge_is_set(self):
+        _, _, gauges = _fired_names()
+        stale = sorted(n for n, _ in catalog.GAUGES
+                       if _normalize(n) not in gauges)
+        assert not stale, f"in catalog but never set: {stale}"
 
     def test_documented_counters_match_fired_names(self):
         """Every ``serve./fleet./controller./fault./store.`` name README
         and ROADMAP document is fired by the code (fault injection point
         names are documented separately and excluded)."""
-        counters, histograms = _fired_names()
-        fired = counters | histograms
+        counters, histograms, gauges = _fired_names()
+        fired = counters | histograms | gauges
         text = ((REPO / "README.md").read_text()
                 + (REPO / "ROADMAP.md").read_text())
         missing = []

@@ -18,8 +18,9 @@ from repro.core import TrainingConfig, ZeroShotCostModel, featurize_records
 from repro.core.model import ZeroShotModel
 from repro.core.training import predict_runtimes
 from repro.datagen import generate_database, random_database_spec
-from repro.featurization import (FeatureScalers, TargetScaler,
-                                 database_digest, plan_fingerprint)
+from repro.featurization import (FeatureScalers, FeaturizationCache,
+                                 TargetScaler, database_digest,
+                                 plan_fingerprint)
 from repro.nn import row_stable_matmul
 from repro.serving import (LoadConfig, ModelRegistry, PredictorServer,
                            RequestShedError, RequestStatus, RoutingError,
@@ -618,3 +619,50 @@ class TestServingFingerprints:
         plan = world["records_a"][0].plan
         assert plan_fingerprint(db, plan, "exact") == plan_fingerprint(
             db, plan, "exact", db_fingerprint=db.fingerprint())
+
+    def test_one_digest_per_fresh_request(self, world, registry_a,
+                                          digest_calls):
+        """The ingress hashes each submitted plan object once; the result
+        cache, featurization and the observation tap read
+        ``request.digest``, and a resubmitted plan object hashes nothing."""
+        registry, model = registry_a
+        plans = [r.plan for r in world["records_a"]]
+        with PredictorServer(registry, world["dbs"]) as server:
+            first = server.predict(plans, world["db_a"].name)
+            assert digest_calls() == (len(plans), 0)
+            again = server.predict(plans, world["db_a"].name)
+            assert digest_calls() == (len(plans), 0)
+        np.testing.assert_array_equal(first, _direct(model,
+                                                     world["graphs_a"]))
+        np.testing.assert_array_equal(again, first)
+
+    def test_core_refuses_requests_without_digest(self, world, registry_a):
+        from repro.serving import PredictionRequest, ServingCore
+        registry, _ = registry_a
+        core = ServingCore(registry, world["dbs"])
+        request = PredictionRequest(world["db_a"].name,
+                                    world["records_a"][0].plan)
+        with pytest.raises(ValueError):
+            core.process_batch([request])
+        assert not request.done()
+
+    def test_featurize_with_digest_keys_matches_key_path(self, world):
+        """Plan digests are featurization-cache keys: ``keys=digests``
+        returns the very graph objects the ``key()`` path cached, and the
+        other way round."""
+        dbs = world["dbs"]
+        records = world["records_a"]
+        digests = [plan_fingerprint(dbs[r.db_name], r.plan, "exact")
+                   for r in records]
+        cache = FeaturizationCache()
+        assert digests == [cache.key(dbs[r.db_name], r.plan, "exact")
+                           for r in records]
+        by_key = featurize_records(records, dbs, feat_cache=cache)
+        by_digest = featurize_records(records, dbs, feat_cache=cache,
+                                      keys=digests)
+        assert all(a is b for a, b in zip(by_key, by_digest))
+        cache = FeaturizationCache()
+        by_digest = featurize_records(records, dbs, feat_cache=cache,
+                                      keys=digests)
+        by_key = featurize_records(records, dbs, feat_cache=cache)
+        assert all(a is b for a, b in zip(by_key, by_digest))

@@ -42,6 +42,13 @@ class TestColumn:
         with pytest.raises(ValueError):
             Column("s", DataType.CATEGORICAL, [0, 5], dictionary=["only"])
 
+    def test_dictionary_index_built_once_keeps_first_code(self):
+        col = Column("s", DataType.CATEGORICAL, [0, 1, 2],
+                     dictionary=["a", "b", "a"])
+        index = col.dictionary_index
+        assert col.dictionary_index is index
+        assert index == {"a": 0, "b": 1}
+
     def test_take_preserves_dictionary(self):
         col = Column("s", DataType.STRING, [0, 1, 0], dictionary=["x", "y"])
         sub = col.take(np.array([2, 1]))
